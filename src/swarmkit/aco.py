@@ -23,6 +23,7 @@ from .core import (
     TraceEntry,
     derive_stream,
     record_iteration,
+    require_finite,
     should_terminate,
 )
 
@@ -97,6 +98,7 @@ class AcoConfig:
     tau_floor: float = 1e-12
 
     def __post_init__(self):
+        require_finite(self, "alpha", "beta", "q", "tau0", "tau_floor")
         if self.num_ants is not None and self.num_ants < 1:
             raise ConfigError(f"num_ants must be >= 1, got {self.num_ants}")
         if self.alpha < 0:
@@ -150,14 +152,23 @@ def transition_probabilities(
     candidates = [j for j in range(n) if j not in blocked]
     if not candidates:
         raise ContractError("no unvisited nodes to move to")
-    return _candidate_probabilities(graph, pheromones, current, candidates, config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _candidate_probabilities(graph, pheromones, current, candidates, config)
 
 
 def _candidate_probabilities(graph, pheromones, current, candidates, config):
+    """Normalized weights; callers silence numpy's overflow and invalid-value
+    warnings, because every row they would spoil fails the sum check here."""
     tau = pheromones.tau[current, candidates]
     eta = 1.0 / graph.distance[current, candidates]
     weights = tau**config.alpha * eta**config.beta
-    return weights / weights.sum()
+    total = weights.sum()
+    if not 0.0 < total < np.inf:
+        raise ContractError(
+            f"transition weights from node {current} sum to {total}: tau**alpha * "
+            f"(1/d)**beta overflows or underflows (alpha={config.alpha}, beta={config.beta})"
+        )
+    return weights / total
 
 
 def construct_tour(
@@ -180,14 +191,15 @@ def construct_tour(
     remaining = list(range(n))
     remaining.remove(start)
     current = start
-    while remaining:
-        probs = _candidate_probabilities(graph, pheromones, current, remaining, config)
-        u = stream.next_uniform()
-        idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
-            idx = len(remaining) - 1
-        current = remaining.pop(idx)
-        order.append(current)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while remaining:
+            probs = _candidate_probabilities(graph, pheromones, current, remaining, config)
+            u = stream.next_uniform()
+            idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+            if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
+                idx = len(remaining) - 1
+            current = remaining.pop(idx)
+            order.append(current)
     return Tour(order=tuple(order), length=tour_length(graph, order))
 
 

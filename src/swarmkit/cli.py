@@ -9,15 +9,16 @@ configs produce byte-identical trace files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_type_hints
 
 from .aco import AcoConfig, optimize_aco
 from .core import (
@@ -36,37 +37,31 @@ TRACE_HEADER = "iteration,best_fitness,evaluations"
 
 _U64_MAX = 2**64 - 1
 
-_COMMON_KEYS = ("algorithm", "problem", "seeds", "max_iterations", "target_fitness", "output")
-_PSO_KEYS = ("dim", "swarm_size", "c1", "c2", "vmax", "topology", "ring_k")
-_ACO_KEYS = ("num_ants", "alpha", "beta", "rho", "q", "tau0", "tau_floor")
+_COMMON_KEYS = ("algorithm", "problem", "seeds", "output")
+_ENGINES = {"pso": PsoConfig, "aco": AcoConfig}
+# Keys the harness reads itself; every other key is a field of the engine
+# config or of its TerminationCriteria.
+_HARNESS_KEYS = {"pso": ("dim", "topology", "ring_k"), "aco": ()}
+# Engine fields built from other keys rather than set directly.
+_DERIVED_FIELDS = ("termination", "topology")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description with defaults filled in."""
+    """Fully validated experiment description with defaults filled in.
+
+    Every tunable lives in ``engine``; only what no engine owns is kept
+    here. ``ring_k`` is kept even under the global topology because the
+    summary echoes it.
+    """
 
     algorithm: str
     problem: str
     seeds: tuple[int, ...]
-    max_iterations: int
-    target_fitness: Optional[float] = None
-    output: Optional[str] = None
-    # pso
+    engine: Union[PsoConfig, AcoConfig]
     dim: Optional[int] = None
-    swarm_size: Optional[int] = None
-    c1: float = 2.0
-    c2: float = 2.0
-    vmax: Optional[float] = None
-    topology: str = "global"
+    output: Optional[str] = None
     ring_k: int = 1
-    # aco
-    num_ants: Optional[int] = None
-    alpha: float = 1.0
-    beta: float = 2.0
-    rho: float = 0.5
-    q: float = 1.0
-    tau0: float = 1.0
-    tau_floor: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,14 +77,13 @@ class RunSummary:
     total_evaluations: int
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"invalid integer for {key}: {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
+def _coerce(key: str, value: str, declared) -> Union[int, float]:
+    """Parse as an integer where the declared type admits int, else as a float."""
+    if int in (declared, *get_args(declared)):
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"invalid integer for {key}: {value!r}") from None
     try:
         return float(value)
     except ValueError:
@@ -120,11 +114,38 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
     return seeds
 
 
+def _tunables(cls) -> list:
+    """The fields of ``cls`` that a config key of the same name sets."""
+    return [f for f in fields(cls) if f.name not in _DERIVED_FIELDS]
+
+
+def _accepted_keys(algorithm: str) -> set[str]:
+    return {
+        *_COMMON_KEYS,
+        *(f.name for f in _tunables(TerminationCriteria)),
+        *(f.name for f in _tunables(_ENGINES[algorithm])),
+        *_HARNESS_KEYS[algorithm],
+    }
+
+
+@functools.cache
+def _key_types(algorithm: str) -> dict:
+    """Declared type of each numeric key, read once from the dataclass annotations."""
+    return {
+        **get_type_hints(TerminationCriteria),
+        **get_type_hints(_ENGINES[algorithm]),
+        "dim": int,
+        "ring_k": int,
+    }
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a flat key=value config.
 
     Unknown keys, keys for the other algorithm, type mismatches, and
     constraint violations all raise :class:`ConfigError` naming the key.
+    Tunables are validated by the engine config they build, so a config
+    that parses is one that runs.
     """
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -142,163 +163,75 @@ def parse_config(text: str) -> ExperimentConfig:
     algorithm = pairs.pop("algorithm", None)
     if algorithm is None:
         raise ConfigError("missing required key algorithm")
-    if algorithm not in ("pso", "aco"):
+    if algorithm not in _ENGINES:
         raise ConfigError(f"algorithm must be pso or aco, got {algorithm!r}")
+    engine_cls = _ENGINES[algorithm]
 
-    allowed = set(_COMMON_KEYS) | set(_PSO_KEYS if algorithm == "pso" else _ACO_KEYS)
-    other = set(_ACO_KEYS if algorithm == "pso" else _PSO_KEYS)
+    allowed = _accepted_keys(algorithm)
     for key in pairs:
         if key in allowed:
             continue
-        if key in other:
+        if any(key in _accepted_keys(other) for other in _ENGINES):
             raise ConfigError(f"key {key} is not valid for algorithm {algorithm}")
         raise ConfigError(f"unknown key {key}")
 
-    for required in ("problem", "seeds", "max_iterations"):
-        if required not in pairs:
-            raise ConfigError(f"missing required key {required}")
+    required = ["problem", "seeds", "dim"] if algorithm == "pso" else ["problem", "seeds"]
+    required += [
+        f.name
+        for cls in (TerminationCriteria, engine_cls)
+        for f in _tunables(cls)
+        if f.default is MISSING
+    ]
+    for key in required:
+        if key not in pairs:
+            raise ConfigError(f"missing required key {key}")
 
-    values: dict = {
-        "algorithm": algorithm,
-        "problem": pairs.pop("problem"),
-        "seeds": _parse_seeds(pairs.pop("seeds")),
-        "max_iterations": _parse_int("max_iterations", pairs.pop("max_iterations")),
-    }
-    if not values["seeds"]:
-        raise ConfigError("seeds must name at least one seed")
-    if values["max_iterations"] < 1:
-        raise ConfigError(f"max_iterations must be >= 1, got {values['max_iterations']}")
-    if "target_fitness" in pairs:
-        values["target_fitness"] = _parse_float("target_fitness", pairs.pop("target_fitness"))
-    if "output" in pairs:
-        values["output"] = pairs.pop("output")
+    problem = pairs.pop("problem")
+    seeds = _parse_seeds(pairs.pop("seeds"))
+    output = pairs.pop("output", None)
+    topology = pairs.pop("topology", "global")
+    types = _key_types(algorithm)
+    values = {key: _coerce(key, value, types[key]) for key, value in pairs.items()}
+    termination = TerminationCriteria(
+        **{f.name: values.pop(f.name) for f in fields(TerminationCriteria) if f.name in values}
+    )
+    dim = values.pop("dim", None)
+    ring_k = values.pop("ring_k", 1)
 
-    if algorithm == "pso":
-        _parse_pso_keys(pairs, values)
+    if algorithm == "aco":
+        engine = AcoConfig(termination=termination, **values)
     else:
-        _parse_aco_keys(pairs, values)
-    return ExperimentConfig(**values)
-
-
-def _parse_pso_keys(pairs: dict, values: dict) -> None:
-    for required in ("dim", "swarm_size"):
-        if required not in pairs:
-            raise ConfigError(f"missing required key {required}")
-    if values["problem"] not in BENCHMARK_NAMES:
-        raise ConfigError(
-            f"unknown benchmark {values['problem']!r} for problem; "
-            f"available: {', '.join(BENCHMARK_NAMES)}"
-        )
-    values["dim"] = _parse_int("dim", pairs.pop("dim"))
-    values["swarm_size"] = _parse_int("swarm_size", pairs.pop("swarm_size"))
-    if values["dim"] < 1:
-        raise ConfigError(f"dim must be >= 1, got {values['dim']}")
-    if values["swarm_size"] < 1:
-        raise ConfigError(f"swarm_size must be >= 1, got {values['swarm_size']}")
-    for key in ("c1", "c2", "vmax"):
-        if key in pairs:
-            values[key] = _parse_float(key, pairs.pop(key))
-    if values.get("c1", 2.0) < 0 or values.get("c2", 2.0) < 0:
-        raise ConfigError("c1 and c2 must be >= 0")
-    if values.get("vmax") is not None and values["vmax"] <= 0:
-        raise ConfigError(f"vmax must be > 0, got {values['vmax']}")
-    if "topology" in pairs:
-        values["topology"] = pairs.pop("topology")
-        if values["topology"] not in ("global", "ring"):
-            raise ConfigError(f"topology must be global or ring, got {values['topology']!r}")
-    explicit_ring_k = "ring_k" in pairs
-    if explicit_ring_k:
-        values["ring_k"] = _parse_int("ring_k", pairs.pop("ring_k"))
-    ring_k = values.get("ring_k", 1)
-    if (explicit_ring_k or values.get("topology") == "ring") and not (
-        1 <= ring_k < values["swarm_size"]
-    ):
-        raise ConfigError(
-            f"ring_k must be in [1, swarm_size), got {ring_k} "
-            f"with swarm_size={values['swarm_size']}"
-        )
-
-
-def _parse_aco_keys(pairs: dict, values: dict) -> None:
-    if "num_ants" in pairs:
-        values["num_ants"] = _parse_int("num_ants", pairs.pop("num_ants"))
-        if values["num_ants"] < 1:
-            raise ConfigError(f"num_ants must be >= 1, got {values['num_ants']}")
-    for key in ("alpha", "beta", "rho", "q", "tau0", "tau_floor"):
-        if key in pairs:
-            values[key] = _parse_float(key, pairs.pop(key))
-    if values.get("alpha", 1.0) < 0 or values.get("beta", 2.0) < 0:
-        raise ConfigError("alpha and beta must be >= 0")
-    if not 0.0 <= values.get("rho", 0.5) <= 1.0:
-        raise ConfigError(f"rho out of [0,1], got {values['rho']}")
-    if values.get("q", 1.0) <= 0:
-        raise ConfigError(f"q must be > 0, got {values['q']}")
-    if values.get("tau_floor", 1e-12) <= 0:
-        raise ConfigError(f"tau_floor must be > 0, got {values['tau_floor']}")
-    if values.get("tau0", 1.0) < values.get("tau_floor", 1e-12):
-        raise ConfigError("tau0 must be >= tau_floor")
+        if problem not in BENCHMARK_NAMES:
+            raise ConfigError(
+                f"unknown benchmark {problem!r} for problem; "
+                f"available: {', '.join(BENCHMARK_NAMES)}"
+            )
+        if dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {dim}")
+        topologies = {"global": Global(), "ring": Ring(ring_k)}
+        if topology not in topologies:
+            raise ConfigError(f"topology must be global or ring, got {topology!r}")
+        if topology == "global" and "ring_k" in pairs:
+            # The summary echoes ring_k under global too, so range-check it there as well.
+            PsoConfig(termination=termination, topology=topologies["ring"], **values)
+        engine = PsoConfig(termination=termination, topology=topologies[topology], **values)
+    return ExperimentConfig(algorithm, problem, seeds, engine, dim, output, ring_k)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
-    echo = {
+    """The effective config in summary.json, defaults included, in a pinned key order."""
+    engine = config.engine
+    tunables = {f.name: getattr(engine, f.name) for f in _tunables(type(engine))}
+    if config.algorithm == "pso":
+        topology = "ring" if isinstance(engine.topology, Ring) else "global"
+        tunables = {"dim": config.dim, **tunables, "topology": topology, "ring_k": config.ring_k}
+    return {
         "algorithm": config.algorithm,
         "problem": config.problem,
-        "max_iterations": config.max_iterations,
-        "target_fitness": config.target_fitness,
+        **asdict(engine.termination),
         "seeds": list(config.seeds),
+        **tunables,
     }
-    if config.algorithm == "pso":
-        echo.update(
-            dim=config.dim,
-            swarm_size=config.swarm_size,
-            c1=config.c1,
-            c2=config.c2,
-            vmax=config.vmax,
-            topology=config.topology,
-            ring_k=config.ring_k,
-        )
-    else:
-        echo.update(
-            num_ants=config.num_ants,
-            alpha=config.alpha,
-            beta=config.beta,
-            rho=config.rho,
-            q=config.q,
-            tau0=config.tau0,
-            tau_floor=config.tau_floor,
-        )
-    return echo
-
-
-def _termination(config: ExperimentConfig) -> TerminationCriteria:
-    return TerminationCriteria(
-        max_iterations=config.max_iterations, target_fitness=config.target_fitness
-    )
-
-
-def _pso_engine_config(config: ExperimentConfig) -> PsoConfig:
-    topology = Ring(config.ring_k) if config.topology == "ring" else Global()
-    return PsoConfig(
-        swarm_size=config.swarm_size,
-        termination=_termination(config),
-        c1=config.c1,
-        c2=config.c2,
-        vmax=config.vmax,
-        topology=topology,
-    )
-
-
-def _aco_engine_config(config: ExperimentConfig) -> AcoConfig:
-    return AcoConfig(
-        termination=_termination(config),
-        num_ants=config.num_ants,
-        alpha=config.alpha,
-        beta=config.beta,
-        rho=config.rho,
-        q=config.q,
-        tau0=config.tau0,
-        tau_floor=config.tau_floor,
-    )
 
 
 def _load_instance(path: str) -> TspInstance:
@@ -363,13 +296,11 @@ def _run_single(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
     with _TraceWriter(trace_path) as writer:
         if config.algorithm == "pso":
             bench = benchmark(config.problem, config.dim)
-            _, best, trace = optimize(bench.spec, _pso_engine_config(config), seed, on_iteration=writer)
+            _, best, trace = optimize(bench.spec, config.engine, seed, on_iteration=writer)
         else:
             instance = _load_instance(config.problem)
-            best_tour, trace = optimize_aco(
-                instance.graph, _aco_engine_config(config), seed, on_iteration=writer
-            )
-            best = best_tour.length
+            tour, trace = optimize_aco(instance.graph, config.engine, seed, on_iteration=writer)
+            best = tour.length
     return {
         "seed": seed,
         "best_fitness": best,
@@ -504,7 +435,7 @@ def main(argv=None) -> int:
         if args.command == "brute-force":
             return _cmd_brute_force(args)
         return _cmd_validate(args)
-    except (ConfigError, ContractError, OSError) as exc:
+    except (ConfigError, ContractError, OSError, BrokenExecutor) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

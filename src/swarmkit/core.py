@@ -68,9 +68,12 @@ def derive_stream(seed: int, stream_id: int) -> RngStream:
     return RngStream(seed, stream_id)
 
 
-def next_uniform(stream: RngStream) -> float:
-    """Draw one uniform value in [0, 1) from ``stream``."""
-    return stream.next_uniform()
+def require_finite(config, *names: str) -> None:
+    """Raise :class:`ConfigError` naming the first field in ``names`` that holds NaN or inf."""
+    for name in names:
+        value = getattr(config, name)
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def fitness_key(value: float) -> float:
@@ -126,6 +129,8 @@ class TerminationCriteria:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if self.target_fitness is not None:
+            require_finite(self, "target_fitness")
 
 
 class TraceEntry(NamedTuple):

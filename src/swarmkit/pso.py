@@ -34,6 +34,7 @@ from .core import (
     derive_stream,
     fitness_key,
     record_iteration,
+    require_finite,
     should_terminate,
 )
 
@@ -51,7 +52,7 @@ class Ring:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ConfigError(f"ring radius must be >= 1, got {self.k}")
+            raise ConfigError(f"ring_k must be in [1, swarm_size), got {self.k}")
 
 
 Topology = Union[Global, Ring]
@@ -96,12 +97,14 @@ class PsoConfig:
     def __post_init__(self):
         if self.swarm_size < 1:
             raise ConfigError(f"swarm_size must be >= 1, got {self.swarm_size}")
+        require_finite(self, "c1", "c2")
         if self.c1 < 0 or self.c2 < 0:
-            raise ConfigError(f"learning factors must be >= 0, got c1={self.c1}, c2={self.c2}")
+            raise ConfigError(f"c1 and c2 must be >= 0, got c1={self.c1}, c2={self.c2}")
         if self.vmax is not None:
             vmax = np.asarray(self.vmax, dtype=float)
+            require_finite(self, "vmax")
             if not (vmax > 0).all():
-                raise ConfigError("vmax must be strictly positive")
+                raise ConfigError(f"vmax must be > 0, got {self.vmax}")
             if vmax.ndim == 0:
                 object.__setattr__(self, "vmax", float(vmax))
             elif vmax.ndim == 1:
@@ -111,7 +114,7 @@ class PsoConfig:
                 raise ConfigError(f"vmax must be a scalar or 1-d vector, got shape {vmax.shape}")
         if isinstance(self.topology, Ring) and not self.topology.k < self.swarm_size:
             raise ConfigError(
-                f"ring radius must be < swarm_size, got k={self.topology.k} "
+                f"ring_k must be in [1, swarm_size), got {self.topology.k} "
                 f"with swarm_size={self.swarm_size}"
             )
         if not isinstance(self.topology, (Global, Ring)):

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from swarmkit import TspInstance
+
+# pytest's ``pythonpath`` setting reaches only this process; the CLI tests
+# also start ``python -m swarmkit`` subprocesses, which need the same path.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "swarmkit",

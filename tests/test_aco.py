@@ -203,6 +203,20 @@ class TestTransitionProbabilities:
         assert probs[0] == pytest.approx(16 / 17, rel=1e-12)
         assert probs[1] == pytest.approx(1 / 17, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weights_raise_instead_of_sampling_nan(self):
+        # Some eta**400 overflow to inf, so the unchecked probabilities were [0, nan, ...].
+        graph = random_tsp_instance(8, derive_stream(100, 0)).graph
+        with pytest.raises(ContractError, match="transition weights from node 0 sum to inf"):
+            optimize_aco(graph, aco_config(beta=400.0), seed=1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_weights_raise_instead_of_dividing_by_zero(self):
+        graph = triangle_graph(scale=1e10)
+        pheromones = initialize_pheromones(graph, aco_config())
+        with pytest.raises(ContractError, match="sum to 0.0"):
+            transition_probabilities(graph, pheromones, 0, set(), aco_config(beta=40.0))
+
 
 class TestConstructTour:
     def test_output_is_a_permutation(self, square_graph):

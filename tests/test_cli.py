@@ -2,6 +2,10 @@
 
 import json
 import math
+import re
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from conftest import UNIT_SQUARE_TEXT
 from swarmkit import (
     AcoConfig,
     ConfigError,
+    Global,
     PsoConfig,
     Ring,
     RunTrace,
@@ -19,6 +24,7 @@ from swarmkit import (
     TraceEntry,
     aggregate_bests,
     benchmark,
+    derive_stream,
     emit_summary,
     emit_trace_csv,
     load_tsp_instance,
@@ -27,8 +33,11 @@ from swarmkit import (
     optimize_aco,
     parse_config,
     parse_trace_csv,
+    random_tsp_instance,
     run_experiment,
+    serialize_tsp_instance,
 )
+from swarmkit import cli
 
 PSO_CONFIG_TEXT = """\
 # minimal swarm run
@@ -60,18 +69,19 @@ class TestParseConfig:
         config = parse_config(PSO_CONFIG_TEXT)
         assert config.algorithm == "pso"
         assert config.problem == "sphere"
-        assert config.dim == 10 and config.swarm_size == 30
-        assert config.max_iterations == 2000
+        assert config.dim == 10 and config.engine.swarm_size == 30
+        assert config.engine.termination.max_iterations == 2000
         assert config.seeds == tuple(range(1, 21))
-        assert config.c1 == 2.0 and config.c2 == 2.0
-        assert config.vmax is None and config.topology == "global"
-        assert config.target_fitness is None
+        assert config.engine.c1 == 2.0 and config.engine.c2 == 2.0
+        assert config.engine.vmax is None and config.engine.topology == Global()
+        assert config.engine.termination.target_fitness is None
 
     def test_aco_defaults_filled(self):
         config = parse_config("algorithm=aco\nproblem=x.txt\nmax_iterations=5\nseeds=1\n")
-        assert (config.alpha, config.beta, config.rho) == (1.0, 2.0, 0.5)
-        assert (config.q, config.tau0, config.tau_floor) == (1.0, 1.0, 1e-12)
-        assert config.num_ants is None
+        engine = config.engine
+        assert (engine.alpha, engine.beta, engine.rho) == (1.0, 2.0, 0.5)
+        assert (engine.q, engine.tau0, engine.tau_floor) == (1.0, 1.0, 1e-12)
+        assert engine.num_ants is None
 
     def test_comments_blanks_and_spaces_ignored(self):
         text = "# c\n\n algorithm = pso \nproblem=sphere\ndim=2\nswarm_size=3\nmax_iterations=1\nseeds=0\n"
@@ -157,7 +167,7 @@ class TestParseConfig:
 
     def test_topology_options(self):
         config = parse_config(small_pso_text(extra="topology=ring\nring_k=2\n"))
-        assert config.topology == "ring" and config.ring_k == 2
+        assert config.engine.topology == Ring(2) and config.ring_k == 2
         with pytest.raises(ConfigError, match="topology must be global or ring"):
             parse_config(small_pso_text(extra="topology=star\n"))
         with pytest.raises(ConfigError, match=r"ring_k must be in \[1, swarm_size\)"):
@@ -167,7 +177,7 @@ class TestParseConfig:
 
     def test_target_fitness_and_output_are_optional(self):
         config = parse_config(small_pso_text(extra="target_fitness=1e-3\noutput=mydir\n"))
-        assert config.target_fitness == 1e-3
+        assert config.engine.termination.target_fitness == 1e-3
         assert config.output == "mydir"
 
 
@@ -256,6 +266,107 @@ class TestSummary:
         bests = [record["best_fitness"] for record in summary.per_seed]
         assert summary.aggregate == aggregate_bests(bests)
         assert summary.total_evaluations == sum(r["evaluations"] for r in summary.per_seed)
+
+
+GOLDEN_PSO_TEXT = (
+    "algorithm=pso\nproblem=sphere\ndim=3\nswarm_size=5\nmax_iterations=3\nseeds=1..2\n"
+)
+GOLDEN_PSO_ECHO = (
+    '{"algorithm": "pso", "problem": "sphere", "max_iterations": 3, "target_fitness": %s, '
+    '"seeds": [1, 2], "dim": 3, "swarm_size": %d, "c1": %s, "c2": 2.0, "vmax": %s, '
+    '"topology": "%s", "ring_k": %d}'
+)
+GOLDEN_ACO_TEXT = "algorithm=aco\nproblem=square.txt\nmax_iterations=3\n"
+
+# Each config's summary.json echo, byte for byte: key order, defaults filled
+# in, and integer literals for float keys (c1=1, beta=3) echoed as floats.
+GOLDEN_ECHOES = {
+    "pso-defaults": (
+        GOLDEN_PSO_TEXT,
+        GOLDEN_PSO_ECHO % ("null", 5, "2.0", "null", "global", 1),
+    ),
+    "pso-ring-c1-vmax-target": (
+        GOLDEN_PSO_TEXT + "topology=ring\nring_k=2\nc1=1\nvmax=0.25\ntarget_fitness=1e-3\n",
+        GOLDEN_PSO_ECHO % ("0.001", 5, "1.0", "0.25", "ring", 2),
+    ),
+    "pso-ring_k-under-global": (
+        GOLDEN_PSO_TEXT + "ring_k=3\n",
+        GOLDEN_PSO_ECHO % ("null", 5, "2.0", "null", "global", 3),
+    ),
+    "pso-swarm_size-1": (
+        GOLDEN_PSO_TEXT.replace("swarm_size=5", "swarm_size=1"),
+        GOLDEN_PSO_ECHO % ("null", 1, "2.0", "null", "global", 1),
+    ),
+    "aco-defaults": (
+        GOLDEN_ACO_TEXT + "seeds=1\n",
+        '{"algorithm": "aco", "problem": "square.txt", "max_iterations": 3, '
+        '"target_fitness": null, "seeds": [1], "num_ants": null, "alpha": 1.0, "beta": 2.0, '
+        '"rho": 0.5, "q": 1.0, "tau0": 1.0, "tau_floor": 1e-12}',
+    ),
+    "aco-every-key": (
+        GOLDEN_ACO_TEXT + "seeds=4,2\nnum_ants=3\nalpha=0.5\nbeta=3\nrho=0.25\nq=2\n"
+        "tau0=0.5\ntau_floor=1e-9\ntarget_fitness=4\n",
+        '{"algorithm": "aco", "problem": "square.txt", "max_iterations": 3, '
+        '"target_fitness": 4.0, "seeds": [4, 2], "num_ants": 3, "alpha": 0.5, "beta": 3.0, '
+        '"rho": 0.25, "q": 2.0, "tau0": 0.5, "tau_floor": 1e-09}',
+    ),
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_keys(heading: str) -> set:
+    """Key names in the first column of the README table under ``heading``."""
+    lines = README.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(heading))
+    keys = set()
+    for line in lines[start + 1 :]:
+        if keys and not line.startswith("|"):
+            break
+        if line.startswith("|"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return keys
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ECHOES))
+    def test_summary_config_echo_is_pinned(self, name, tmp_path, monkeypatch):
+        text, expected = GOLDEN_ECHOES[name]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "square.txt").write_text(UNIT_SQUARE_TEXT)
+        (tmp_path / "cfg.txt").write_text(text)
+        assert main(["validate", "cfg.txt"]) == 0
+        summary = run_experiment(parse_config(text), output_dir="out")
+        assert json.dumps(summary.config) == expected
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["config"] == (
+            json.loads(expected)
+        )
+
+    @pytest.mark.parametrize(
+        "algorithm, base, own, other",
+        [
+            ("pso", GOLDEN_PSO_TEXT, "PSO keys", "ACO keys"),
+            ("aco", GOLDEN_ACO_TEXT + "seeds=1\n", "ACO keys", "PSO keys"),
+        ],
+    )
+    def test_accepted_keys_match_readme_tables(self, algorithm, base, own, other):
+        documented = readme_keys("Common keys") | readme_keys(own)
+        candidates = (
+            documented
+            | readme_keys(other)
+            | {f.name for cls in (PsoConfig, AcoConfig, TerminationCriteria) for f in fields(cls)}
+        )
+        candidates.discard("algorithm")  # selects the table rather than being a tunable
+        for key in sorted(candidates):
+            kept = [line for line in base.splitlines() if not line.startswith(f"{key}=")]
+            text = "\n".join(kept + [f"{key}=@"]) + "\n"
+            try:
+                parse_config(text)
+                message = ""
+            except ConfigError as exc:
+                message = str(exc)
+            rejected = message.startswith(("unknown key", f"key {key} is not valid"))
+            assert rejected == (key not in documented), (algorithm, key, message)
 
 
 class TestRunExperiment:
@@ -366,6 +477,78 @@ class TestMain:
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: unknown key frobnicate\n"
+
+    @pytest.mark.parametrize(
+        "algorithm, setting",
+        [
+            ("pso", "vmax=nan"),
+            ("pso", "c1=nan"),
+            ("pso", "c2=-inf"),
+            ("pso", "target_fitness=nan"),
+            ("aco", "tau0=inf"),
+            ("aco", "alpha=nan"),
+            ("aco", "beta=inf"),
+            ("aco", "q=inf"),
+            ("aco", "tau_floor=nan"),
+        ],
+    )
+    def test_non_finite_tunable_fails_validate_and_run_alike(
+        self, algorithm, setting, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            small_pso_text(extra=setting + "\n")
+            if algorithm == "pso"
+            else small_aco_text("square.txt", setting + "\n")
+        )
+        key = setting.partition("=")[0]
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be finite, got ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
+    def test_run_reports_degenerate_aco_weights(self, tmp_path, capsys):
+        # The config is valid; only this instance's distances overflow eta**beta,
+        # so validate accepts it and run fails without leaving output files.
+        instance = tmp_path / "cities8.txt"
+        instance.write_text(serialize_tsp_instance(random_tsp_instance(8, derive_stream(100, 0))))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text(str(instance), "beta=400\n"))
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition weights from node 0 sum to inf")
+        assert err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_broken_worker_pool_reports_single_line(self, tmp_path, capsys, monkeypatch):
+        class BrokenFuture:
+            def result(self):
+                raise BrokenProcessPool("a worker process died")
+
+            def cancel(self):
+                return False
+
+        class BrokenPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                return BrokenFuture()
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text(seeds="1..2"))
+        assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "2"]) == 1
+        assert capsys.readouterr().err == "error: a worker process died\n"
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.txt")]) == 1

@@ -18,7 +18,6 @@ from swarmkit import (
     TraceEntry,
     derive_stream,
     fitness_key,
-    next_uniform,
     record_iteration,
     should_terminate,
 )
@@ -61,12 +60,6 @@ class TestRngStream:
         scalar_stream = derive_stream(9, 2)
         scalars = np.array([scalar_stream.next_uniform() for _ in range(64)])
         assert np.array_equal(array, scalars)
-
-    def test_next_uniform_function_advances_stream(self):
-        stream = derive_stream(1, 1)
-        expected = derive_stream(1, 1).next_uniforms(2)
-        assert next_uniform(stream) == expected[0]
-        assert next_uniform(stream) == expected[1]
 
     @pytest.mark.parametrize("seed,stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
     def test_rejects_out_of_range_ids(self, seed, stream_id):

@@ -259,7 +259,10 @@ def parse_trace_csv(text: str, seed: int = 0) -> RunTrace:
         parts = line.split(",")
         if len(parts) != 3:
             raise ConfigError(f"line {lineno}: expected 3 columns, got {line!r}")
-        entries.append(TraceEntry(int(parts[0]), float(parts[1]), int(parts[2])))
+        try:
+            entries.append(TraceEntry(int(parts[0]), float(parts[1]), int(parts[2])))
+        except ValueError:
+            raise ConfigError(f"line {lineno}: malformed trace row {line!r}") from None
     return RunTrace(seed=seed, entries=tuple(entries))
 
 
@@ -316,8 +319,9 @@ def run_experiment(
 ) -> RunSummary:
     """One run per seed; writes per-seed traces plus summary.json.
 
-    Seeds may execute in parallel worker processes; results and files are
-    identical for any worker count because each run is fully isolated.
+    Seeds may execute in parallel worker processes, at most one per seed;
+    results and files are identical for any worker count because each run
+    is fully isolated.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -328,7 +332,9 @@ def run_experiment(
     if workers == 1 or len(jobs) == 1:
         results = [_run_single(*job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool may start all max_workers processes up front, so start none
+        # that would have no seed to run.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_single, *job) for job in jobs]
             try:
                 results = [f.result() for f in futures]
@@ -405,7 +411,9 @@ def _cmd_brute_force(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    parse_config(args.config.read_text())
+    config = parse_config(args.config.read_text())
+    if config.algorithm == "aco":
+        _load_instance(config.problem)
     print("ok")
     return 0
 

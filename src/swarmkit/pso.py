@@ -10,6 +10,9 @@ r2, dimensions ascending) and the result clamped per dimension to
 vmax alone bounds the dynamics. Positions are never clamped to the search
 box.
 
+The swarm state is row-per-particle arrays, and ``step`` applies the
+single-particle rule bodies to all rows at once.
+
 Each particle owns the derived stream ``(seed, 1 + index)``; stream id 0
 seeds initialization. That layout is part of the reproducibility contract:
 a run is a pure function of (objective, config, seed).
@@ -123,13 +126,22 @@ class PsoConfig:
 
 @dataclass(frozen=True, eq=False)
 class SwarmState:
-    """Snapshot of the swarm after some number of iterations."""
+    """Snapshot of the swarm after some number of iterations, one array row per particle."""
 
-    particles: tuple[Particle, ...]
+    position: np.ndarray
+    velocity: np.ndarray
+    pbest_position: np.ndarray
+    pbest_fitness: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
     iteration: int
     non_finite_evals: int = 0
+
+    @property
+    def particles(self) -> tuple[Particle, ...]:
+        """One :class:`Particle` per row, viewing the state's arrays."""
+        rows = self.position, self.velocity, self.pbest_position, self.pbest_fitness
+        return tuple(map(Particle, *rows))
 
 
 def resolve_vmax(config: PsoConfig, objective: ObjectiveSpec) -> Union[float, np.ndarray]:
@@ -155,23 +167,10 @@ def initialize_swarm(
     d = objective.dimension
     lower, upper = objective.lower_bound, objective.upper_bound
     vmax = resolve_vmax(config, objective)
-    particles = []
-    non_finite = 0
-    for _ in range(config.swarm_size):
-        position = lower + (upper - lower) * stream.next_uniforms(d)
-        velocity = -vmax + 2.0 * vmax * stream.next_uniforms(d)
-        fitness = float(objective.evaluate(position))
-        if not np.isfinite(fitness):
-            non_finite += 1
-        particles.append(Particle(position, velocity, position, fitness))
-    best = min(range(config.swarm_size), key=lambda i: (fitness_key(particles[i].pbest_fitness), i))
-    return SwarmState(
-        particles=tuple(particles),
-        gbest_position=particles[best].pbest_position,
-        gbest_fitness=particles[best].pbest_fitness,
-        iteration=0,
-        non_finite_evals=non_finite,
-    )
+    draws = np.stack([stream.next_uniforms(d) for _ in range(2 * config.swarm_size)])
+    position = lower + (upper - lower) * draws[0::2]
+    velocity = -vmax + 2.0 * vmax * draws[1::2]
+    return _evaluated(objective, position, velocity, prior=None)[0]
 
 
 def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> np.ndarray:
@@ -180,14 +179,14 @@ def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> 
     Global returns the swarm gbest. Ring(k) returns the best pbest among
     the 2k+1 ring neighbors (self included), ties to the lowest index.
     """
-    n = len(state.particles)
+    n = len(state.pbest_fitness)
     if not 0 <= particle_index < n:
         raise ContractError(f"particle index {particle_index} out of range [0, {n})")
     if isinstance(topology, Global):
         return state.gbest_position
     indices = sorted({(particle_index + off) % n for off in range(-topology.k, topology.k + 1)})
-    best = min(indices, key=lambda i: (fitness_key(state.particles[i].pbest_fitness), i))
-    return state.particles[best].pbest_position
+    best = min(indices, key=lambda i: (fitness_key(state.pbest_fitness[i]), i))
+    return state.pbest_position[best]
 
 
 def update_velocity(
@@ -207,25 +206,35 @@ def update_velocity(
         vmax = config.vmax
     if vmax is None:
         raise ConfigError("vmax is unset; set it in the config or pass it explicitly")
+    _require_positive(vmax)
     guide = np.asarray(guide_position, dtype=float)
     d = particle.position.shape[0]
     if guide.shape != (d,):
         raise ContractError(f"guide has shape {guide.shape}, particle dimension is {d}")
-    draws = stream.next_uniforms(2 * d)
-    r1 = draws[0::2]
-    r2 = draws[1::2]
+    return _velocity_rule(particle, guide, stream.next_uniforms(2 * d), config, vmax)
+
+
+def _velocity_rule(swarm, guide, draws, config, vmax):
+    """The clamped velocity rule for a :class:`Particle`, or a :class:`SwarmState` row-wise.
+
+    Along the last axis ``draws`` holds r1 at even and r2 at odd positions.
+    """
+    x = swarm.position
+    r1, r2 = draws[..., 0::2], draws[..., 1::2]
     velocity = (
-        particle.velocity
-        + config.c1 * r1 * (particle.pbest_position - particle.position)
-        + config.c2 * r2 * (guide - particle.position)
+        swarm.velocity + config.c1 * r1 * (swarm.pbest_position - x) + config.c2 * r2 * (guide - x)
     )
-    return clamp_velocity(velocity, vmax)
+    return np.clip(velocity, -vmax, vmax)
+
+
+def _require_positive(vmax: Union[float, np.ndarray]) -> None:
+    if not np.all(np.asarray(vmax) > 0):
+        raise ConfigError("vmax must be strictly positive")
 
 
 def clamp_velocity(velocity: np.ndarray, vmax: Union[float, np.ndarray]) -> np.ndarray:
     """Saturate each component into [-vmax, vmax]."""
-    if not np.all(np.asarray(vmax) > 0):
-        raise ConfigError("vmax must be strictly positive")
+    _require_positive(vmax)
     return np.clip(velocity, -vmax, vmax)
 
 
@@ -257,13 +266,38 @@ def _keyed(fitness: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(fitness), fitness, np.inf)
 
 
-def _ring_guide_rows(pbest_pos: np.ndarray, keyed_fitness: np.ndarray, k: int) -> np.ndarray:
-    n = keyed_fitness.shape[0]
-    if 2 * k + 1 >= n:  # full coverage: every neighborhood is the whole swarm
-        return np.broadcast_to(pbest_pos[int(np.argmin(keyed_fitness))], pbest_pos.shape)
+def _evaluated(objective, position, velocity, prior):
+    """The swarm at ``position`` after evaluating each row once, and its keyed pbest fitnesses.
+
+    Strict improvements on ``prior``'s pbests are kept; with no prior the
+    evaluated rows are the pbests. gbest is the best pbest, lowest index on ties.
+    """
+    fitness = np.array([float(objective.evaluate(row)) for row in position])
+    keyed = _keyed(fitness)
+    non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
+    pbest, iteration = position, 0
+    if prior is not None:
+        keyed_prior = _keyed(prior.pbest_fitness)
+        improved = keyed < keyed_prior
+        fitness = np.where(improved, fitness, prior.pbest_fitness)
+        pbest = np.where(improved[:, None], position, prior.pbest_position)
+        keyed = np.where(improved, keyed, keyed_prior)
+        non_finite += prior.non_finite_evals
+        iteration = prior.iteration
+    best = int(np.argmin(keyed))
+    gbest = pbest[best], float(fitness[best])
+    return SwarmState(position, velocity, pbest, fitness, *gbest, iteration, non_finite), keyed
+
+
+def _guides(state: SwarmState, keyed: np.ndarray, topology: Topology) -> np.ndarray:
+    """Each row's attractor: gbest, or the best pbest within +/-k ring neighbors."""
+    n = keyed.shape[0]
+    if isinstance(topology, Global) or 2 * topology.k + 1 >= n:
+        return state.gbest_position  # one row, broadcast against every particle
+    k = topology.k
     rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
-    col = np.argmin(keyed_fitness[rows], axis=1)  # first minimum = lowest index
-    return pbest_pos[rows[np.arange(n), col]]
+    col = np.argmin(keyed[rows], axis=1)  # first minimum = lowest index
+    return state.pbest_position[rows[np.arange(n), col]]
 
 
 def step(
@@ -281,51 +315,16 @@ def step(
     vectorized across the swarm but matches the per-particle operations
     bit for bit.
     """
-    n = len(state.particles)
+    n = len(state.pbest_fitness)
     if len(streams) != n:
         raise ContractError(f"need {n} per-particle streams, got {len(streams)}")
-    d = objective.dimension
-    vmax = resolve_vmax(config, objective)
-
-    position = np.stack([p.position for p in state.particles])
-    velocity = np.stack([p.velocity for p in state.particles])
-    pbest_pos = np.stack([p.pbest_position for p in state.particles])
-    pbest_fit = np.array([p.pbest_fitness for p in state.particles])
-
-    fitness = np.array([float(objective.evaluate(position[i])) for i in range(n)])
-    non_finite = state.non_finite_evals + int(np.count_nonzero(~np.isfinite(fitness)))
-    improved = _keyed(fitness) < _keyed(pbest_fit)
-    pbest_fit = np.where(improved, fitness, pbest_fit)
-    pbest_pos = np.where(improved[:, None], position, pbest_pos)
-
-    keyed = _keyed(pbest_fit)
-    best = int(np.argmin(keyed))
-    gbest_position = pbest_pos[best]
-    gbest_fitness = float(pbest_fit[best])
-
-    if isinstance(config.topology, Global):
-        guides = np.broadcast_to(gbest_position, position.shape)
-    else:
-        guides = _ring_guide_rows(pbest_pos, keyed, config.topology.k)
-
-    draws = np.stack([streams[i].next_uniforms(2 * d) for i in range(n)])
-    r1 = draws[:, 0::2]
-    r2 = draws[:, 1::2]
-    velocity = (
-        velocity + config.c1 * r1 * (pbest_pos - position) + config.c2 * r2 * (guides - position)
-    )
-    velocity = np.clip(velocity, -vmax, vmax)
-    position = position + velocity
-
-    particles = tuple(
-        Particle(position[i], velocity[i], pbest_pos[i], float(pbest_fit[i])) for i in range(n)
-    )
-    return SwarmState(
-        particles=particles,
-        gbest_position=gbest_position,
-        gbest_fitness=gbest_fitness,
-        iteration=state.iteration + 1,
-        non_finite_evals=non_finite,
+    evaluated, keyed = _evaluated(objective, state.position, state.velocity, prior=state)
+    guides = _guides(evaluated, keyed, config.topology)
+    draws = np.stack([stream.next_uniforms(2 * objective.dimension) for stream in streams])
+    velocity = _velocity_rule(evaluated, guides, draws, config, resolve_vmax(config, objective))
+    position = state.position + velocity
+    return dataclasses.replace(
+        evaluated, position=position, velocity=velocity, iteration=state.iteration + 1
     )
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
@@ -218,6 +219,9 @@ class TestTraceCsv:
     def test_parse_rejects_bad_row(self):
         with pytest.raises(ConfigError, match="line 2: expected 3 columns"):
             parse_trace_csv("iteration,best_fitness,evaluations\n0,1.0\n")
+        for row in ("1,abc,20", "x,1.0,20", "1,1.0,2.5"):
+            with pytest.raises(ConfigError, match=f"line 3: malformed trace row '{row}'"):
+                parse_trace_csv(f"iteration,best_fitness,evaluations\n0,2.0,10\n{row}\n")
 
     def test_trace_matches_direct_emission(self, tmp_path):
         # The streamed file written by the harness must equal the in-memory
@@ -404,6 +408,31 @@ class TestRunExperiment:
         assert strip(serial) == strip(parallel)
         assert serial.aggregate == parallel.aggregate
 
+    @pytest.mark.parametrize("workers, seeds, started", [(8, "1..2", 2), (2, "1..3", 2)])
+    def test_pool_starts_at_most_one_process_per_seed(
+        self, workers, seeds, started, tmp_path, monkeypatch
+    ):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        run_experiment(parse_config(small_pso_text(seeds=seeds)), str(tmp_path), workers=workers)
+        assert sizes == [started]
+
     def test_summaries_identical_modulo_wall_clock(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1..2"))
         run_experiment(config, output_dir=str(tmp_path / "a"))
@@ -549,6 +578,25 @@ class TestMain:
         cfg.write_text(small_pso_text(seeds="1..2"))
         assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "2"]) == 1
         assert capsys.readouterr().err == "error: a worker process died\n"
+
+    @pytest.mark.parametrize(
+        "instance_text, message",
+        [
+            (None, "error: [Errno 2] No such file or directory: 'nowhere.txt'\n"),
+            ("4\n0 0.0 0.0\n1 0.0 1.0\n", "error: expected 4 points, found 2\n"),
+        ],
+        ids=["missing", "truncated"],
+    )
+    def test_validate_reads_the_aco_instance(
+        self, instance_text, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        if instance_text is not None:
+            Path("nowhere.txt").write_text(instance_text)
+        Path("cfg.txt").write_text(small_aco_text("nowhere.txt"))
+        for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out"]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", message)
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.txt")]) == 1

@@ -52,17 +52,25 @@ def make_particle(position, velocity, pbest_position, pbest_fitness):
     )
 
 
+def state_of(particles, iteration=0, non_finite_evals=0):
+    """Swarm holding ``particles`` as rows; gbest is the best pbest, ties to the lowest index."""
+    best = min(range(len(particles)), key=lambda i: (fitness_key(particles[i].pbest_fitness), i))
+    return SwarmState(
+        position=np.stack([p.position for p in particles]),
+        velocity=np.stack([p.velocity for p in particles]),
+        pbest_position=np.stack([p.pbest_position for p in particles]),
+        pbest_fitness=np.array([p.pbest_fitness for p in particles]),
+        gbest_position=particles[best].pbest_position,
+        gbest_fitness=particles[best].pbest_fitness,
+        iteration=iteration,
+        non_finite_evals=non_finite_evals,
+    )
+
+
 def state_from_pbest_fitnesses(fitnesses):
     """Swarm whose pbest positions encode their index for easy identification."""
-    particles = tuple(
-        make_particle([float(i)], [0.0], [float(i)], fit) for i, fit in enumerate(fitnesses)
-    )
-    best = min(range(len(particles)), key=lambda i: (fitness_key(fitnesses[i]), i))
-    return SwarmState(
-        particles=particles,
-        gbest_position=particles[best].pbest_position,
-        gbest_fitness=fitnesses[best],
-        iteration=0,
+    return state_of(
+        [make_particle([float(i)], [0.0], [float(i)], fit) for i, fit in enumerate(fitnesses)]
     )
 
 
@@ -345,16 +353,10 @@ class TestUpdatePbest:
 def manual_step(state, objective, config, streams):
     """Per-particle composition of the public operations, for comparison."""
     vmax = resolve_vmax(config, objective)
-    evaluated = [update_pbest(p, float(objective.evaluate(p.position))) for p in state.particles]
-    best = min(
-        range(len(evaluated)), key=lambda i: (fitness_key(evaluated[i].pbest_fitness), i)
-    )
-    interim = SwarmState(
-        particles=tuple(evaluated),
-        gbest_position=evaluated[best].pbest_position,
-        gbest_fitness=evaluated[best].pbest_fitness,
-        iteration=state.iteration,
-    )
+    fitnesses = [float(objective.evaluate(p.position)) for p in state.particles]
+    evaluated = [update_pbest(p, f) for p, f in zip(state.particles, fitnesses)]
+    non_finite = state.non_finite_evals + sum(not math.isfinite(f) for f in fitnesses)
+    interim = state_of(evaluated, state.iteration)
     moved = []
     for i, particle in enumerate(interim.particles):
         guide = select_guide(interim, i, config.topology)
@@ -363,23 +365,21 @@ def manual_step(state, objective, config, streams):
         moved.append(
             Particle(position, velocity, particle.pbest_position, particle.pbest_fitness)
         )
-    return SwarmState(
-        particles=tuple(moved),
-        gbest_position=interim.gbest_position,
-        gbest_fitness=interim.gbest_fitness,
-        iteration=state.iteration + 1,
-    )
+    return state_of(moved, state.iteration + 1, non_finite)
 
 
 def assert_states_identical(a, b):
-    assert a.gbest_fitness == b.gbest_fitness
+    """Equal bit for bit, where a NaN fitness equals a NaN fitness."""
+    assert np.array_equal(a.gbest_fitness, b.gbest_fitness, equal_nan=True)
     assert np.array_equal(a.gbest_position, b.gbest_position)
     assert a.iteration == b.iteration
+    assert a.non_finite_evals == b.non_finite_evals
+    assert len(a.particles) == len(b.particles)
     for pa, pb in zip(a.particles, b.particles):
         assert np.array_equal(pa.position, pb.position)
         assert np.array_equal(pa.velocity, pb.velocity)
         assert np.array_equal(pa.pbest_position, pb.pbest_position)
-        assert pa.pbest_fitness == pb.pbest_fitness
+        assert np.array_equal(pa.pbest_fitness, pb.pbest_fitness, equal_nan=True)
 
 
 class TestStep:
@@ -400,6 +400,46 @@ class TestStep:
         man_streams = [derive_stream(5, 1 + k) for k in range(config.swarm_size)]
         vec_state, man_state = state, state
         for _ in range(4):
+            vec_state = step(vec_state, spec, config, vec_streams)
+            man_state = manual_step(man_state, spec, config, man_streams)
+            assert_states_identical(vec_state, man_state)
+
+    @given(st.data())
+    def test_matches_per_particle_operations_for_any_configuration(self, data):
+        swarm = data.draw(st.integers(1, 10), label="swarm")
+        d = data.draw(st.integers(1, 5), label="d")
+        topology = Global()
+        if swarm > 1 and data.draw(st.booleans(), label="ring"):
+            topology = Ring(data.draw(st.integers(1, swarm - 1), label="ring_k"))
+        vmax = data.draw(
+            st.floats(0.1, 3.0)
+            | st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d).map(np.array),
+            label="vmax",
+        )
+        config = PsoConfig(
+            swarm_size=swarm,
+            termination=TerminationCriteria(max_iterations=3),
+            c1=data.draw(st.floats(0.0, 4.0), label="c1"),
+            c2=data.draw(st.floats(0.0, 4.0), label="c2"),
+            vmax=vmax,
+            topology=topology,
+        )
+        # Rows past the cut evaluate to NaN or an infinity, so non-finite
+        # pbests occur in both implementations.
+        cut = data.draw(st.floats(-1.0, 1.0), label="cut")
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+        spec = ObjectiveSpec(
+            dimension=d,
+            lower_bound=np.full(d, -1.0),
+            upper_bound=np.full(d, 1.0),
+            evaluate=lambda x: bad if x[0] > cut else float(np.sum(x * x)),
+        )
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        state = initialize_swarm(spec, config, derive_stream(seed, 0))
+        vec_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
+        man_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
+        vec_state, man_state = state, state
+        for _ in range(3):
             vec_state = step(vec_state, spec, config, vec_streams)
             man_state = manual_step(man_state, spec, config, man_streams)
             assert_states_identical(vec_state, man_state)
@@ -461,12 +501,7 @@ class TestStep:
             swarm_size=1, termination=TerminationCriteria(max_iterations=5), vmax=1.0
         )
         particle = make_particle([0.25, -0.5], [0.0, 0.0], [0.25, -0.5], 0.3125)
-        state = SwarmState(
-            particles=(particle,),
-            gbest_position=particle.pbest_position,
-            gbest_fitness=particle.pbest_fitness,
-            iteration=0,
-        )
+        state = state_of([particle])
         out = step(state, spec, config, [derive_stream(3, 1)])
         assert np.array_equal(out.particles[0].position, particle.position)
         assert np.array_equal(out.particles[0].velocity, [0.0, 0.0])

@@ -263,9 +263,9 @@ def optimize_aco(
     streams = [derive_stream(seed, 1 + k) for k in range(num_ants)]
 
     best: Optional[Tour] = None
-    trace = RunTrace(seed=seed)
+    entries: list[TraceEntry] = []
+    entry = None
     evaluations = 0
-    iteration = 0
     while True:
         tours = [
             construct_tour(graph, pheromones, config, streams[k], start=k % graph.n)
@@ -276,9 +276,9 @@ def optimize_aco(
             if best is None or tour.length < best.length:
                 best = tour
         pheromones = deposit(evaporate(pheromones, config), tours, config)
-        trace = record_iteration(trace, iteration, best.length, evaluations)
+        entry = record_iteration(entry, best.length, evaluations)
+        entries.append(entry)
         if on_iteration is not None:
-            on_iteration(trace.entries[-1])
-        if should_terminate(trace, config.termination):
-            return best, trace
-        iteration += 1
+            on_iteration(entry)
+        if should_terminate(entry, config.termination):
+            return best, RunTrace(seed, tuple(entries))

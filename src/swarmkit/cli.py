@@ -29,7 +29,7 @@ from .core import (
     TerminationCriteria,
     TraceEntry,
 )
-from .problems import BENCHMARK_NAMES, TspInstance, benchmark, brute_force_tsp, load_tsp_instance
+from .problems import TspInstance, benchmark, brute_force_tsp, load_tsp_instance
 from .pso import Global, PsoConfig, Ring, optimize
 
 DEFAULT_OUTPUT_DIR = "runs"
@@ -107,7 +107,10 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
         lo, hi = _parse_seed(lo_text.strip()), _parse_seed(hi_text.strip())
         if lo > hi:
             raise ConfigError(f"seed range {value!r} is empty (start exceeds end)")
-        return tuple(range(lo, hi + 1))
+        try:
+            return tuple(range(lo, hi + 1))
+        except OverflowError:
+            raise ConfigError(f"seed range {value!r} has too many seeds") from None
     seeds = tuple(_parse_seed(part.strip()) for part in value.split(","))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds are not allowed")
@@ -201,13 +204,9 @@ def parse_config(text: str) -> ExperimentConfig:
     if algorithm == "aco":
         engine = AcoConfig(termination=termination, **values)
     else:
-        if problem not in BENCHMARK_NAMES:
-            raise ConfigError(
-                f"unknown benchmark {problem!r} for problem; "
-                f"available: {', '.join(BENCHMARK_NAMES)}"
-            )
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
+        benchmark(problem, dim)  # fails as run would on an unknown name or too small a dim
         topologies = {"global": Global(), "ring": Ring(ring_k)}
         if topology not in topologies:
             raise ConfigError(f"topology must be global or ring, got {topology!r}")

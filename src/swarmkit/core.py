@@ -143,9 +143,11 @@ class TraceEntry(NamedTuple):
 class RunTrace:
     """Per-iteration best-so-far record of one seeded run.
 
-    ``entries`` hold the cumulative objective-call count alongside each
-    best fitness; ``non_finite_evals`` counts evaluations that returned
-    NaN or infinity (always treated as no improvement).
+    Engines build it once, at the end of a run, from the entries that
+    :func:`record_iteration` returned. ``entries`` hold the cumulative
+    objective-call count alongside each best fitness; ``non_finite_evals``
+    counts evaluations that returned NaN or infinity (always treated as no
+    improvement).
     """
 
     seed: int
@@ -163,44 +165,23 @@ class RunTrace:
         return self.entries[-1].best_fitness
 
 
-def record_iteration(
-    trace: RunTrace,
-    iteration: int,
-    best: float,
-    evaluations: Optional[int] = None,
-) -> RunTrace:
-    """Append one iteration record, keeping the best-so-far floor.
+def record_iteration(previous: Optional[TraceEntry], best: float, evaluations: int) -> TraceEntry:
+    """The trace entry that follows ``previous`` (``None`` for the first).
 
-    ``iteration`` must be consecutive (0 for an empty trace). The recorded
-    fitness is the minimum of ``best`` and the previous entry, so the
-    trace is non-increasing by construction. ``evaluations`` is the
-    caller-maintained cumulative objective-call count; omitted, it carries
-    the previous value forward.
+    The iteration is one past ``previous``. The recorded fitness is the
+    minimum of ``best`` and the previous entry under :func:`fitness_key`,
+    so a trace folded from these entries is non-increasing by construction.
+    ``evaluations`` is the caller-maintained cumulative objective-call count.
     """
-    expected = trace.entries[-1].iteration + 1 if trace.entries else 0
-    if iteration != expected:
-        raise ContractError(f"iteration must be {expected}, got {iteration}")
-    if evaluations is None:
-        evaluations = trace.evaluations
-    floor = best
-    if trace.entries:
-        prev = trace.entries[-1].best_fitness
-        if not fitness_key(best) < fitness_key(prev):
-            floor = prev
-    entry = TraceEntry(iteration, floor, evaluations)
-    return RunTrace(
-        seed=trace.seed,
-        entries=trace.entries + (entry,),
-        non_finite_evals=trace.non_finite_evals,
-    )
+    if previous is None:
+        return TraceEntry(0, best, evaluations)
+    if not fitness_key(best) < fitness_key(previous.best_fitness):
+        best = previous.best_fitness
+    return TraceEntry(previous.iteration + 1, best, evaluations)
 
 
-def should_terminate(trace: RunTrace, criteria: TerminationCriteria) -> bool:
-    """True once the iteration budget is spent or the target is reached."""
-    if len(trace.entries) >= criteria.max_iterations:
+def should_terminate(entry: TraceEntry, criteria: TerminationCriteria) -> bool:
+    """True once ``entry`` spends the iteration budget or reaches the target."""
+    if entry.iteration + 1 >= criteria.max_iterations:
         return True
-    if criteria.target_fitness is not None:
-        if not trace.entries:
-            raise ContractError("target_fitness set but trace has no entries")
-        return trace.entries[-1].best_fitness <= criteria.target_fitness
-    return False
+    return criteria.target_fitness is not None and entry.best_fitness <= criteria.target_fitness

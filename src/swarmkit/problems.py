@@ -95,8 +95,10 @@ class TspInstance:
         coords = np.asarray(coordinates, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ConfigError(f"coordinates must have shape (n, 2), got {coords.shape}")
-        delta = coords[:, None, :] - coords[None, :, :]
-        distance = np.sqrt((delta**2).sum(axis=-1))
+        # Huge coordinates overflow to inf here; DistanceGraph rejects that with a ConfigError.
+        with np.errstate(over="ignore"):
+            delta = coords[:, None, :] - coords[None, :, :]
+            distance = np.sqrt((delta**2).sum(axis=-1))
         coords.flags.writeable = False
         return cls(name=name, graph=DistanceGraph(distance), coordinates=coords)
 

@@ -342,17 +342,16 @@ def optimize(
     state = initialize_swarm(objective, config, derive_stream(seed, 0))
     streams = [derive_stream(seed, 1 + k) for k in range(config.swarm_size)]
     evaluations = config.swarm_size
-    trace = RunTrace(seed=seed)
-    iteration = 0
+    entries: list[TraceEntry] = []
+    entry = None
     while True:
         state = step(state, objective, config, streams)
         evaluations += config.swarm_size
-        trace = record_iteration(trace, iteration, state.gbest_fitness, evaluations)
+        entry = record_iteration(entry, state.gbest_fitness, evaluations)
+        entries.append(entry)
         if on_iteration is not None:
-            on_iteration(trace.entries[-1])
-        if should_terminate(trace, config.termination):
+            on_iteration(entry)
+        if should_terminate(entry, config.termination):
             break
-        iteration += 1
-    if state.non_finite_evals:
-        trace = dataclasses.replace(trace, non_finite_evals=state.non_finite_evals)
+    trace = RunTrace(seed, tuple(entries), state.non_finite_evals)
     return state.gbest_position, state.gbest_fitness, trace

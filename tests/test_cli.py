@@ -145,6 +145,9 @@ class TestParseConfig:
             parse_config(small_pso_text(seeds="-1"))
         with pytest.raises(ConfigError, match="out of 64-bit"):
             parse_config(small_pso_text(seeds=str(2**64)))
+        # The whole 64-bit range is valid seed by seed but too long for a tuple.
+        with pytest.raises(ConfigError, match=re.escape(f"seed range '0..{2**64 - 1}'")):
+            parse_config(small_pso_text(seeds=f"0..{2**64 - 1}"))
 
     def test_constraint_violations(self):
         with pytest.raises(ConfigError, match="max_iterations must be >= 1"):
@@ -597,6 +600,23 @@ class TestMain:
         for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out"]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", message)
+
+    def test_benchmark_dimension_fails_validate_and_run_alike(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text().replace("sphere", "rosenbrock").replace("dim=3", "dim=1"))
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "error: rosenbrock needs dimension >= 2, got 1\n")
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
+    @pytest.mark.parametrize("command", ["validate", "brute-force"])
+    def test_huge_coordinates_report_one_line(self, command, tmp_path, capsys):
+        instance = tmp_path / "huge.txt"
+        instance.write_text("3\n0 0.0 0.0\n1 1e200 0.0\n2 0.0 1.0\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text(str(instance)))
+        assert main([command, str(cfg if command == "validate" else instance)]) == 1
+        assert capsys.readouterr() == ("", "error: distances must be finite\n")
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.txt")]) == 1

@@ -141,83 +141,74 @@ class TestRunTrace:
             RunTrace(seed=1).best_fitness
 
 
+# Ties under fitness_key (0.0 and -0.0; NaN and the infinities) are where the floor's choice shows.
+TIE_PRONE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf]) | st.floats()
+
+
+def fold_records(values, evaluations=None):
+    """The entries ``record_iteration`` yields when folded over ``values``."""
+    entries, entry = [], None
+    for i, value in enumerate(values):
+        entry = record_iteration(entry, value, i if evaluations is None else evaluations[i])
+        entries.append(entry)
+    return entries
+
+
 class TestRecordIteration:
     def test_first_entry(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5)
-        assert trace.entries == (TraceEntry(0, 3.5, 0),)
+        assert record_iteration(None, 3.5, 10) == TraceEntry(0, 3.5, 10)
 
     def test_monotone_floor_retains_previous_best(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5)
-        trace = record_iteration(trace, 1, 4.0)
-        assert [e.best_fitness for e in trace.entries] == [3.5, 3.5]
+        entry = record_iteration(TraceEntry(0, 3.5, 10), 4.0, 20)
+        assert entry == TraceEntry(1, 3.5, 20)
 
     def test_improvement_is_recorded(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5)
-        trace = record_iteration(trace, 1, 1.0)
-        assert [e.best_fitness for e in trace.entries] == [3.5, 1.0]
-
-    def test_rejects_non_consecutive_iteration(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5)
-        with pytest.raises(ContractError):
-            record_iteration(trace, 2, 1.0)
-        with pytest.raises(ContractError):
-            record_iteration(trace, 0, 1.0)
-        with pytest.raises(ContractError):
-            record_iteration(RunTrace(seed=0), 1, 1.0)
-
-    def test_evaluations_carry_forward_when_omitted(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5, evaluations=10)
-        trace = record_iteration(trace, 1, 3.0)
-        assert trace.entries[-1].evaluations == 10
-        trace = record_iteration(trace, 2, 2.0, evaluations=30)
-        assert trace.evaluations == 30
+        entry = record_iteration(TraceEntry(0, 3.5, 10), 1.0, 20)
+        assert entry == TraceEntry(1, 1.0, 20)
 
     def test_non_finite_best_never_improves(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 2.0)
-        trace = record_iteration(trace, 1, math.nan)
-        trace = record_iteration(trace, 2, math.inf)
-        assert [e.best_fitness for e in trace.entries] == [2.0, 2.0, 2.0]
-
-    def test_original_trace_is_not_mutated(self):
-        trace = record_iteration(RunTrace(seed=0), 0, 3.5)
-        record_iteration(trace, 1, 1.0)
-        assert len(trace.entries) == 1
+        entries = fold_records([2.0, math.nan, math.inf, -math.inf])
+        assert [e.best_fitness for e in entries] == [2.0, 2.0, 2.0, 2.0]
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
     def test_best_fitness_sequence_is_non_increasing(self, values):
-        trace = RunTrace(seed=0)
-        for i, value in enumerate(values):
-            trace = record_iteration(trace, i, value)
-        fits = [e.best_fitness for e in trace.entries]
+        entries = fold_records(values)
+        fits = [e.best_fitness for e in entries]
         assert all(later <= earlier for earlier, later in zip(fits, fits[1:]))
-        assert [e.iteration for e in trace.entries] == list(range(len(values)))
+        assert [e.iteration for e in entries] == list(range(len(values)))
+
+    @given(
+        st.lists(st.tuples(TIE_PRONE_FLOATS, st.integers(0, 2**63)), min_size=1, max_size=50),
+        st.integers(1, 60),
+        st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_fold_matches_running_minimum(self, rows, max_iterations, target):
+        values = [value for value, _ in rows]
+        evaluations = [count for _, count in rows]
+        entries = fold_records(values, evaluations)
+        assert [e.iteration for e in entries] == list(range(len(values)))
+        assert [e.evaluations for e in entries] == evaluations
+        for i, entry in enumerate(entries):
+            # min keeps the first of equal keys, as the strict floor does;
+            # repr tells -0.0 from 0.0 and compares NaN.
+            assert repr(entry.best_fitness) == repr(min(values[: i + 1], key=fitness_key))
+        # The whole-trace definition: its length reaches the budget or its last best the target.
+        criteria = TerminationCriteria(max_iterations=max_iterations, target_fitness=target)
+        for length, entry in enumerate(entries, start=1):
+            reached = target is not None and entry.best_fitness <= target
+            assert should_terminate(entry, criteria) == (length >= max_iterations or reached)
 
 
 class TestShouldTerminate:
-    def _trace_with(self, count, best):
-        trace = RunTrace(seed=0)
-        for i in range(count):
-            trace = record_iteration(trace, i, best)
-        return trace
-
     def test_iteration_budget_reached(self):
-        trace = self._trace_with(100, 1.0)
-        assert should_terminate(trace, TerminationCriteria(max_iterations=100))
+        criteria = TerminationCriteria(max_iterations=100)
+        assert should_terminate(TraceEntry(99, 1.0, 0), criteria)
+        assert not should_terminate(TraceEntry(98, 1.0, 0), criteria)
 
     def test_target_reached_early(self):
-        trace = self._trace_with(5, 0.5)
         criteria = TerminationCriteria(max_iterations=100, target_fitness=1.0)
-        assert should_terminate(trace, criteria)
+        assert should_terminate(TraceEntry(4, 0.5, 0), criteria)
 
     def test_neither_criterion_met(self):
-        trace = self._trace_with(5, 0.5)
         criteria = TerminationCriteria(max_iterations=100, target_fitness=1e-6)
-        assert not should_terminate(trace, criteria)
-
-    def test_empty_trace_without_target_continues(self):
-        assert not should_terminate(RunTrace(seed=0), TerminationCriteria(max_iterations=1))
-
-    def test_empty_trace_with_target_is_a_contract_violation(self):
-        criteria = TerminationCriteria(max_iterations=10, target_fitness=1.0)
-        with pytest.raises(ContractError):
-            should_terminate(RunTrace(seed=0), criteria)
+        assert not should_terminate(TraceEntry(4, 0.5, 0), criteria)

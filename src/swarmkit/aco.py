@@ -1,7 +1,8 @@
 """Ant colony optimizer for symmetric TSP instances.
 
 Ant System flavor: every ant builds a closed tour with the
-random-proportional rule (pheromone^alpha * (1/distance)^beta), then each
+random-proportional rule (pheromone^alpha * (1/distance)^beta), sampled
+from one weight table per iteration-start pheromone snapshot; then each
 iteration evaporates all edges multiplicatively and deposits q/length on
 every ant's tour edges. Pheromone never drops below ``tau_floor``, so no
 edge is ever locked out.
@@ -132,6 +133,17 @@ def initialize_pheromones(graph: DistanceGraph, config: AcoConfig) -> PheromoneM
     return PheromoneMatrix(tau)
 
 
+def transition_weights(
+    graph: DistanceGraph, pheromones: PheromoneMatrix, config: AcoConfig
+) -> np.ndarray:
+    """(n, n) move weights tau^alpha * (1/distance)^beta, zero diagonal. Overflow and
+    underflow give inf and 0 without a warning; a row they spoil fails the sum check."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weights = pheromones.tau**config.alpha * (1.0 / graph.distance) ** config.beta
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
 def transition_probabilities(
     graph: DistanceGraph,
     pheromones: PheromoneMatrix,
@@ -152,16 +164,11 @@ def transition_probabilities(
     candidates = [j for j in range(n) if j not in blocked]
     if not candidates:
         raise ContractError("no unvisited nodes to move to")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _candidate_probabilities(graph, pheromones, current, candidates, config)
+    row = transition_weights(graph, pheromones, config)[current, candidates]
+    return _normalized(row, current, config)
 
 
-def _candidate_probabilities(graph, pheromones, current, candidates, config):
-    """Normalized weights; callers silence numpy's overflow and invalid-value
-    warnings, because every row they would spoil fails the sum check here."""
-    tau = pheromones.tau[current, candidates]
-    eta = 1.0 / graph.distance[current, candidates]
-    weights = tau**config.alpha * eta**config.beta
+def _normalized(weights: np.ndarray, current: int, config: AcoConfig) -> np.ndarray:
     total = weights.sum()
     if not 0.0 < total < np.inf:
         raise ContractError(
@@ -173,33 +180,34 @@ def _candidate_probabilities(graph, pheromones, current, candidates, config):
 
 def construct_tour(
     graph: DistanceGraph,
-    pheromones: PheromoneMatrix,
+    weights: np.ndarray,
     config: AcoConfig,
     stream: RngStream,
     start: int,
 ) -> Tour:
-    """Build one closed tour by inverse-CDF sampling of the transition rule.
+    """Build one closed tour by inverse-CDF sampling of a :func:`transition_weights` table.
 
     Consumes exactly n-1 uniform draws, one per transition (the final
     forced move included), so draw accounting is independent of the
     probabilities themselves.
     """
     n = graph.n
+    if np.shape(weights) != (n, n):
+        raise ContractError(f"weights must have shape {(n, n)}, got {np.shape(weights)}")
     if not 0 <= start < n:
         raise ContractError(f"start node {start} out of range [0, {n})")
     order = [start]
     remaining = list(range(n))
     remaining.remove(start)
     current = start
-    with np.errstate(over="ignore", invalid="ignore"):
-        while remaining:
-            probs = _candidate_probabilities(graph, pheromones, current, remaining, config)
-            u = stream.next_uniform()
-            idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-            if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
-                idx = len(remaining) - 1
-            current = remaining.pop(idx)
-            order.append(current)
+    while remaining:
+        probs = _normalized(weights[current, remaining], current, config)
+        u = stream.next_uniform()
+        idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+        if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
+            idx = len(remaining) - 1
+        current = remaining.pop(idx)
+        order.append(current)
     return Tour(order=tuple(order), length=tour_length(graph, order))
 
 
@@ -255,8 +263,8 @@ def optimize_aco(
 
     Ant k starts at node k mod n and owns the derived stream
     ``(seed, 1 + k)`` for the whole run; stream id 0 is reserved for
-    run-level use. Each iteration constructs all tours against the
-    iteration-start pheromone snapshot, then evaporates, then deposits.
+    run-level use. Each iteration constructs all tours from the weight table
+    of the iteration-start pheromone snapshot, then evaporates, then deposits.
     """
     num_ants = config.num_ants if config.num_ants is not None else graph.n
     pheromones = initialize_pheromones(graph, config)
@@ -267,8 +275,9 @@ def optimize_aco(
     entry = None
     evaluations = 0
     while True:
+        weights = transition_weights(graph, pheromones, config)
         tours = [
-            construct_tour(graph, pheromones, config, streams[k], start=k % graph.n)
+            construct_tour(graph, weights, config, streams[k], start=k % graph.n)
             for k in range(num_ants)
         ]
         evaluations += num_ants

@@ -9,6 +9,7 @@ configs produce byte-identical trace files regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -22,6 +23,7 @@ from typing import Optional, Union, get_args, get_type_hints
 
 from .aco import AcoConfig, optimize_aco
 from .core import (
+    _U64_MAX,
     RNG_ALGORITHM,
     ConfigError,
     ContractError,
@@ -34,8 +36,7 @@ from .pso import Global, PsoConfig, Ring, optimize
 
 DEFAULT_OUTPUT_DIR = "runs"
 TRACE_HEADER = "iteration,best_fitness,evaluations"
-
-_U64_MAX = 2**64 - 1
+_MAX_SEEDS = 1_000_000  # longest "a..b" range; it is expanded into a tuple of seeds
 
 _COMMON_KEYS = ("algorithm", "problem", "seeds", "output")
 _ENGINES = {"pso": PsoConfig, "aco": AcoConfig}
@@ -107,10 +108,9 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
         lo, hi = _parse_seed(lo_text.strip()), _parse_seed(hi_text.strip())
         if lo > hi:
             raise ConfigError(f"seed range {value!r} is empty (start exceeds end)")
-        try:
-            return tuple(range(lo, hi + 1))
-        except OverflowError:
-            raise ConfigError(f"seed range {value!r} has too many seeds") from None
+        if hi - lo + 1 > _MAX_SEEDS:
+            raise ConfigError(f"seed range {value!r} has too many seeds (at most {_MAX_SEEDS})")
+        return tuple(range(lo, hi + 1))
     seeds = tuple(_parse_seed(part.strip()) for part in value.split(","))
     if len(set(seeds)) != len(seeds):
         raise ConfigError("duplicate seeds are not allowed")
@@ -265,37 +265,29 @@ def parse_trace_csv(text: str, seed: int = 0) -> RunTrace:
     return RunTrace(seed=seed, entries=tuple(entries))
 
 
-class _TraceWriter:
-    """Streams trace rows to a temp file; renames into place only on success."""
-
-    def __init__(self, final_path: Path):
-        self.final_path = final_path
-        self.tmp_path = final_path.with_name(final_path.name + ".tmp")
-        self._fh = None
-
-    def __enter__(self):
-        self._fh = open(self.tmp_path, "w", newline="")
-        self._fh.write(TRACE_HEADER + "\n")
-        return self
-
-    def __call__(self, entry: TraceEntry) -> None:
-        self._fh.write(_trace_row(entry) + "\n")
-        self._fh.flush()
-
-    def __exit__(self, exc_type, exc, tb):
-        self._fh.close()
-        if exc_type is None:
-            os.replace(self.tmp_path, self.final_path)
-        else:
-            self.tmp_path.unlink(missing_ok=True)
-        return False
+@contextlib.contextmanager
+def _atomic_output(path: Path):
+    """Write ``path`` through ``<name>.tmp``: renamed into place on success, deleted on failure."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _run_single(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
     """Execute one seeded run, streaming its trace file. Worker-safe."""
     trace_path = Path(out_dir) / f"trace_seed{seed}.csv"
     started = time.perf_counter()
-    with _TraceWriter(trace_path) as writer:
+    with _atomic_output(trace_path) as fh:
+        fh.write(TRACE_HEADER + "\n")
+
+        def writer(entry: TraceEntry) -> None:
+            fh.write(_trace_row(entry) + "\n")
+
         if config.algorithm == "pso":
             bench = benchmark(config.problem, config.dim)
             _, best, trace = optimize(bench.spec, config.engine, seed, on_iteration=writer)
@@ -379,13 +371,8 @@ def emit_summary(summary: RunSummary) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_output(path) as fh:
+        fh.write(text)
 
 
 def _cmd_run(args) -> int:

@@ -27,6 +27,7 @@ from swarmkit import (
     random_tsp_instance,
     tour_length,
     transition_probabilities,
+    transition_weights,
 )
 
 
@@ -218,31 +219,66 @@ class TestTransitionProbabilities:
             transition_probabilities(graph, pheromones, 0, set(), aco_config(beta=40.0))
 
 
+class TestTransitionWeights:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 40),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0),
+        st.data(),
+    )
+    def test_table_cells_equal_the_rule_on_a_gathered_row(self, seed, n, alpha, beta, data):
+        # The table is bit-exact only if ** on the full matrix gives each cell
+        # the value it gets on a gathered candidate row.
+        rng = np.random.default_rng(seed)
+        raw_tau = 10.0 ** rng.uniform(-12.0, 3.0, (n, n))
+        raw_d = rng.uniform(0.01, 100.0, (n, n))
+        tau, d = raw_tau + raw_tau.T, raw_d + raw_d.T
+        np.fill_diagonal(tau, 0.0)
+        np.fill_diagonal(d, 0.0)
+        current = data.draw(st.integers(0, n - 1))
+        others = [j for j in range(n) if j != current]
+        candidates = sorted(data.draw(st.sets(st.sampled_from(others), min_size=1)))
+
+        table = transition_weights(
+            DistanceGraph(d), PheromoneMatrix(tau), aco_config(alpha=alpha, beta=beta)
+        )
+        row = table[current, candidates]
+        expected = tau[current, candidates] ** alpha * (1.0 / d[current, candidates]) ** beta
+        assert np.array_equal(row, expected)
+        assert row.sum() == expected.sum()
+        assert (np.diag(table) == 0.0).all()
+
+
 class TestConstructTour:
     def test_output_is_a_permutation(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
+        weights = transition_weights(square_graph, pheromones, aco_config())
         for seed in range(5):
             tour = construct_tour(
-                square_graph, pheromones, aco_config(), derive_stream(seed, 1), start=seed % 4
+                square_graph, weights, aco_config(), derive_stream(seed, 1), start=seed % 4
             )
             assert sorted(tour.order) == [0, 1, 2, 3]
             assert tour.order[0] == seed % 4
 
     def test_deterministic_given_stream_and_start(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
-        a = construct_tour(square_graph, pheromones, aco_config(), derive_stream(7, 1), start=2)
-        b = construct_tour(square_graph, pheromones, aco_config(), derive_stream(7, 1), start=2)
+        weights = transition_weights(square_graph, pheromones, aco_config())
+        a = construct_tour(square_graph, weights, aco_config(), derive_stream(7, 1), start=2)
+        b = construct_tour(square_graph, weights, aco_config(), derive_stream(7, 1), start=2)
         assert a == b
 
     def test_consumes_exactly_n_minus_1_draws(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
+        weights = transition_weights(square_graph, pheromones, aco_config())
         stream = ForcedStream([0.3, 0.6, 0.9, 0.1])
-        construct_tour(square_graph, pheromones, aco_config(), stream, start=0)
+        construct_tour(square_graph, weights, aco_config(), stream, start=0)
         assert stream.remaining == 1
 
     def test_stored_length_matches_recomputation(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
-        tour = construct_tour(square_graph, pheromones, aco_config(), derive_stream(3, 1), start=1)
+        weights = transition_weights(square_graph, pheromones, aco_config())
+        tour = construct_tour(square_graph, weights, aco_config(), derive_stream(3, 1), start=1)
         assert tour.length == tour_length(square_graph, tour.order)
 
     def test_heavily_biased_pheromones_fix_the_tour(self, square_graph):
@@ -260,31 +296,45 @@ class TestConstructTour:
         assert p_second == 1e6 / (1e6 + 1.0)
         assert p_first * p_second > 0.999
 
-        tour = construct_tour(square_graph, pheromones, config, derive_stream(0, 1), start=0)
+        weights = transition_weights(square_graph, pheromones, config)
+        tour = construct_tour(square_graph, weights, config, derive_stream(0, 1), start=0)
         assert tour.order == (0, 1, 2, 3)
 
     def test_inverse_cdf_picks_candidates_in_ascending_node_order(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
         config = aco_config(alpha=1.0, beta=0.0)  # uniform probabilities 1/3
+        weights = transition_weights(square_graph, pheromones, config)
         # From node 0 candidates are (1, 2, 3); u=0.01 -> 1, u=0.5 -> 2, u=0.99 -> 3.
         for u, expected in [(0.01, 1), (0.5, 2), (0.99, 3)]:
             tour = construct_tour(
-                square_graph, pheromones, config, ForcedStream([u, 0.0, 0.0]), start=0
+                square_graph, weights, config, ForcedStream([u, 0.0, 0.0]), start=0
             )
             assert tour.order[1] == expected
 
     def test_draw_on_the_last_cumulative_edge_is_safe(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
         config = aco_config(alpha=1.0, beta=0.0)
+        weights = transition_weights(square_graph, pheromones, config)
         tour = construct_tour(
-            square_graph, pheromones, config, ForcedStream([0.999999999, 0.99, 0.5]), start=0
+            square_graph, weights, config, ForcedStream([0.999999999, 0.99, 0.5]), start=0
         )
         assert sorted(tour.order) == [0, 1, 2, 3]
 
     def test_start_out_of_range_rejected(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
+        weights = transition_weights(square_graph, pheromones, aco_config())
         with pytest.raises(ContractError):
-            construct_tour(square_graph, pheromones, aco_config(), derive_stream(0, 1), start=4)
+            construct_tour(square_graph, weights, aco_config(), derive_stream(0, 1), start=4)
+
+    def test_table_of_the_wrong_shape_rejected(self, square_graph):
+        # A triangle's table, and the pheromone matrix itself as the old signature took it.
+        triangle = triangle_graph()
+        config = aco_config()
+        small = transition_weights(triangle, initialize_pheromones(triangle, config), config)
+        pheromones = initialize_pheromones(square_graph, config)
+        for weights in (small, pheromones):
+            with pytest.raises(ContractError, match="weights must have shape"):
+                construct_tour(square_graph, weights, config, derive_stream(0, 1), start=0)
 
 
 class TestTourLength:
@@ -396,8 +446,9 @@ def replay_colony(graph, config, seed, iterations):
     best = None
     history = []
     for _ in range(iterations):
+        weights = transition_weights(graph, pheromones, config)
         tours = [
-            construct_tour(graph, pheromones, config, streams[k], start=k % graph.n)
+            construct_tour(graph, weights, config, streams[k], start=k % graph.n)
             for k in range(num_ants)
         ]
         for tour in tours:
@@ -444,9 +495,10 @@ class TestOptimizeAco:
         instance = random_tsp_instance(5, derive_stream(8, 0))
         config = aco_config(termination=TerminationCriteria(max_iterations=1), num_ants=1)
         best, _ = optimize_aco(instance.graph, config, seed=77)
+        pheromones = initialize_pheromones(instance.graph, config)
         expected = construct_tour(
             instance.graph,
-            initialize_pheromones(instance.graph, config),
+            transition_weights(instance.graph, pheromones, config),
             config,
             derive_stream(77, 1),
             start=0,
@@ -497,8 +549,9 @@ class TestRandomizedProperties:
     def test_constructed_tours_are_valid_permutations(self, seed):
         instance = random_tsp_instance(6, derive_stream(1234, 0))
         pheromones = initialize_pheromones(instance.graph, aco_config())
+        weights = transition_weights(instance.graph, pheromones, aco_config())
         tour = construct_tour(
-            instance.graph, pheromones, aco_config(), derive_stream(seed, 1), start=seed % 6
+            instance.graph, weights, aco_config(), derive_stream(seed, 1), start=seed % 6
         )
         assert sorted(tour.order) == list(range(6))
         assert tour.length == tour_length(instance.graph, tour.order)

@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment harness, and the command line."""
 
+import hashlib
 import json
 import math
 import re
@@ -148,6 +149,17 @@ class TestParseConfig:
         # The whole 64-bit range is valid seed by seed but too long for a tuple.
         with pytest.raises(ConfigError, match=re.escape(f"seed range '0..{2**64 - 1}'")):
             parse_config(small_pso_text(seeds=f"0..{2**64 - 1}"))
+        # Short enough for ssize_t, far too long to allocate.
+        with pytest.raises(ConfigError, match=re.escape(f"seed range '0..{2**62 - 1}' has too")):
+            parse_config(small_pso_text(seeds=f"0..{2**62 - 1}"))
+        with pytest.raises(ConfigError, match="has too many seeds"):
+            parse_config(small_pso_text(seeds=f"1..{cli._MAX_SEEDS + 1}"))
+
+    def test_seed_range_at_the_bound_parses(self):
+        top = 2**64 - 1
+        seeds = parse_config(small_pso_text(seeds=f"{top - cli._MAX_SEEDS + 1}..{top}")).seeds
+        assert len(seeds) == cli._MAX_SEEDS
+        assert seeds[-1] == top
 
     def test_constraint_violations(self):
         with pytest.raises(ConfigError, match="max_iterations must be >= 1"):
@@ -317,6 +329,23 @@ GOLDEN_ECHOES = {
         '"target_fitness": 4.0, "seeds": [4, 2], "num_ants": 3, "alpha": 0.5, "beta": 3.0, '
         '"rho": 0.25, "q": 2.0, "tau0": 0.5, "tau_floor": 1e-09}',
     ),
+}
+
+# sha256 of every output file of ``swarmkit run`` on a random 12-city instance,
+# summary.json without its wall-clock lines. The exponents are ones numpy
+# computes exactly on any CPU (0 -> ones, 0.5 -> sqrt, 1 -> copy, 2 -> square);
+# a general pow may differ in the last ulp between machines.
+GOLDEN_ACO_DIGESTS = {
+    "alpha=2\nbeta=0.5\nrho=0.3\nq=2.5\nseeds=3,8\n": {
+        "summary.json": "913140ed4643580e0467595f05d244755290792f7a9626d07b97d12aee69b129",
+        "trace_seed3.csv": "8fa15f4ac391e844aaa225e7266bfb14c1cd4295ca0aae84a55b36adfab6b715",
+        "trace_seed8.csv": "7864124a0792ccd93db27098ac8ba3a9694bb2288d261f74690b52d1a286be78",
+    },
+    "alpha=0\nbeta=1\nnum_ants=17\nseeds=1..2\n": {
+        "summary.json": "9ad40aed3b7bc96ec5c2a57f641d4e6ee123772230bfa2316c23b44a17d8b7d2",
+        "trace_seed1.csv": "b760b58b1ad299f07c4be71e5c7d5f7af9c75fae039c725cfe23ce96ed37fa77",
+        "trace_seed2.csv": "ffe993f65d3bfee130113dfd7852eb8e2615aefb02a72ffc6d32574960c6c5e9",
+    },
 }
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -494,6 +523,23 @@ class TestRunExperiment:
         assert len(trace.entries) < 10
         assert trace.best_fitness <= 100.0
         assert summary.per_seed[0]["best_fitness"] <= 100.0
+
+    @pytest.mark.parametrize("extra", sorted(GOLDEN_ACO_DIGESTS))
+    def test_aco_output_bytes_are_pinned(self, extra, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        instance = random_tsp_instance(12, derive_stream(2024, 0))
+        (tmp_path / "cities12.txt").write_text(serialize_tsp_instance(instance))
+        (tmp_path / "cfg.txt").write_text(
+            "algorithm=aco\nproblem=cities12.txt\nmax_iterations=15\n" + extra
+        )
+        assert main(["run", "cfg.txt", "--output", "out"]) == 0
+        digests = {}
+        for path in (tmp_path / "out").iterdir():
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                data = re.sub(rb'\n *"wall_clock_seconds": [^\n]*', b"", data)
+            digests[path.name] = hashlib.sha256(data).hexdigest()
+        assert digests == GOLDEN_ACO_DIGESTS[extra]
 
 
 class TestMain:

@@ -6,6 +6,11 @@ from one weight table per iteration-start pheromone snapshot; then each
 iteration evaporates all edges multiplicatively and deposits q/length on
 every ant's tour edges. Pheromone never drops below ``tau_floor``, so no
 edge is ever locked out.
+
+The per-transition, per-tour and per-iteration work are ndarray calls: a
+boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
+lengths, and one ordered ``np.add.at`` for the deposit. Each gives the bits
+of the plain Python loop it replaced.
 """
 
 from __future__ import annotations
@@ -160,6 +165,9 @@ def transition_probabilities(
     if not 0 <= current < n:
         raise ContractError(f"current node {current} out of range [0, {n})")
     blocked = set(visited)
+    outside = sorted(j for j in blocked if not 0 <= j < n)
+    if outside:
+        raise ContractError(f"visited node {outside[0]} out of range [0, {n})")
     blocked.add(current)
     candidates = [j for j in range(n) if j not in blocked]
     if not candidates:
@@ -169,7 +177,8 @@ def transition_probabilities(
 
 
 def _normalized(weights: np.ndarray, current: int, config: AcoConfig) -> np.ndarray:
-    total = weights.sum()
+    # np.add.reduce is what ndarray.sum runs for a 1-D float64 row, minus the wrapper.
+    total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
         raise ContractError(
             f"transition weights from node {current} sum to {total}: tau**alpha * "
@@ -187,41 +196,64 @@ def construct_tour(
 ) -> Tour:
     """Build one closed tour by inverse-CDF sampling of a :func:`transition_weights` table.
 
-    Consumes exactly n-1 uniform draws, one per transition (the final
-    forced move included), so draw accounting is independent of the
-    probabilities themselves.
+    The unvisited nodes are a boolean candidate mask; each transition reads
+    them in ascending node order, normalizes their weight row, and picks the
+    first candidate whose cumulative probability exceeds the draw. Consumes
+    exactly n-1 uniform draws, one per transition (the final forced move
+    included), so draw accounting is independent of the probabilities
+    themselves.
     """
     n = graph.n
     if np.shape(weights) != (n, n):
         raise ContractError(f"weights must have shape {(n, n)}, got {np.shape(weights)}")
     if not 0 <= start < n:
         raise ContractError(f"start node {start} out of range [0, {n})")
-    order = [start]
-    remaining = list(range(n))
-    remaining.remove(start)
-    current = start
-    while remaining:
-        probs = _normalized(weights[current, remaining], current, config)
+    free = np.ones(n, dtype=bool)
+    free[start] = False
+    order = np.empty(n, dtype=np.intp)
+    order[0] = current = start
+    for step in range(1, n):
+        remaining = free.nonzero()[0]
+        probs = _normalized(weights[current].take(remaining), current, config)
         u = stream.next_uniform()
-        idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
-            idx = len(remaining) - 1
-        current = remaining.pop(idx)
-        order.append(current)
-    return Tour(order=tuple(order), length=tour_length(graph, order))
+        idx = int(probs.cumsum().searchsorted(u, "right"))
+        # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
+        current = remaining[min(idx, n - 1 - step)]
+        free[current] = False
+        order[step] = current
+    return Tour(order=tuple(order.tolist()), length=tour_length(graph, order))
+
+
+def _permutation(n: int, order: Iterable[int]) -> np.ndarray:
+    """``order`` as an intp node array; a ContractError unless it visits each of n nodes once."""
+    nodes = order if isinstance(order, np.ndarray) else np.array(tuple(order))
+    if (
+        nodes.shape != (n,)
+        or nodes.dtype.kind not in "iu"
+        or np.sort(nodes).tolist() != list(range(n))
+    ):
+        raise ContractError("order must visit every node exactly once")
+    return nodes.astype(np.intp, copy=False)
+
+
+def _successors(nodes: np.ndarray) -> np.ndarray:
+    """Each node's next stop, the last wrapping to the first.
+
+    Equals ``np.roll(nodes, -1, axis=-1)`` without its Python-level overhead,
+    which outweighed the rest of :func:`tour_length` on small tours.
+    """
+    return np.concatenate((nodes[..., 1:], nodes[..., :1]), axis=-1)
 
 
 def tour_length(graph: DistanceGraph, order: Iterable[int]) -> float:
-    """Length of the closed tour visiting ``order``, return edge included."""
-    nodes = list(order)
-    if sorted(nodes) != list(range(graph.n)):
-        raise ContractError("order must visit every node exactly once")
-    d = graph.distance
-    total = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        total += d[a, b]
-    total += d[nodes[-1], nodes[0]]
-    return float(total)
+    """Length of the closed tour visiting ``order``, return edge included.
+
+    The edges are summed by ``cumsum``, a sequential left fold in tour
+    order, so the result equals a Python ``+=`` loop bit for bit (``sum``
+    would add pairwise and round differently).
+    """
+    nodes = _permutation(graph.n, order)
+    return float(graph.distance[nodes, _successors(nodes)].cumsum()[-1])
 
 
 def evaporate(pheromones: PheromoneMatrix, config: AcoConfig) -> PheromoneMatrix:
@@ -238,18 +270,25 @@ def deposit(
 ) -> PheromoneMatrix:
     """Add q/length to both directions of every tour edge.
 
-    Tours are applied in order and edges in tour order, so the update is
-    reproducible bit for bit.
+    One ``np.add.at`` takes the adds unbuffered in index order: tours in
+    order, edges in tour order, (a, b) before (b, a). That is the order of
+    a Python loop over the tours, so the update is reproducible bit for bit.
     """
     tau = pheromones.tau.copy()
+    tours = tuple(tours)
+    if not tours:
+        return PheromoneMatrix(tau)
+    paths = []
     for tour in tours:
         if tour.length <= 0:
             raise ContractError(f"tour length must be positive, got {tour.length}")
-        gain = config.q / tour.length
-        nodes = tour.order
-        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            tau[a, b] += gain
-            tau[b, a] += gain
+        paths.append(_permutation(pheromones.n, tour.order))
+    nodes = np.stack(paths)
+    nxt = _successors(nodes)
+    rows = np.stack([nodes, nxt], axis=2).ravel()
+    cols = np.stack([nxt, nodes], axis=2).ravel()
+    gains = np.array([config.q / tour.length for tour in tours])
+    np.add.at(tau, (rows, cols), np.repeat(gains, 2 * pheromones.n))
     return PheromoneMatrix(tau)
 
 

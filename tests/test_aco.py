@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import aco_reference
 from conftest import ForcedStream
 from swarmkit import (
     AcoConfig,
@@ -173,6 +174,12 @@ class TestTransitionProbabilities:
         pheromones = initialize_pheromones(square_graph, aco_config())
         with pytest.raises(ContractError):
             transition_probabilities(square_graph, pheromones, 9, set(), aco_config())
+
+    def test_visited_out_of_range_rejected(self, square_graph):
+        # Silently ignored before: three equal probabilities came back.
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ContractError, match=r"visited node -1 out of range \[0, 4\)"):
+            transition_probabilities(square_graph, pheromones, 0, [7, -1], aco_config())
 
     def test_zero_exponents_give_uniform_probabilities(self):
         rng = random.Random(5)
@@ -351,7 +358,14 @@ class TestTourLength:
         expected = 2.0 + 2.0 * math.sqrt(2.0)
         assert tour_length(square_graph, (0, 2, 1, 3)) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("order", [(0, 1), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 1, 2)])
+    def test_any_iterable_of_nodes_is_accepted(self, square_graph):
+        for order in ([0, 1, 2, 3], iter((0, 1, 2, 3)), (j for j in range(4)), np.arange(4)):
+            assert tour_length(square_graph, order) == 4.0
+
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 1), (0, 1, 2, 2), (0, 1, 2, 4), (0, 1, 1, 2), (0, 1, 2, -1), (0.0, 1.0, 2.0, 3.0), ()],
+    )
     def test_non_permutations_rejected(self, square_graph, order):
         with pytest.raises(ContractError):
             tour_length(square_graph, order)
@@ -430,6 +444,25 @@ class TestDeposit:
         pheromones = initialize_pheromones(square_graph, aco_config())
         with pytest.raises(ContractError):
             deposit(pheromones, [Tour((0, 1, 2, 3), 0.0)], aco_config())
+
+    @pytest.mark.parametrize(
+        "tour",
+        [
+            Tour((0, 1, 2), 3.0),  # deposited silently before
+            Tour((0, 1, 2, -1), 4.0),  # -1 wrapped to node 3
+            Tour((0, 1, 2, 5), 4.0),  # a bare IndexError
+        ],
+    )
+    def test_non_permutation_tours_rejected(self, square_graph, tour):
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ContractError, match="order must visit every node exactly once"):
+            deposit(pheromones, [Tour((0, 1, 2, 3), 4.0), tour], aco_config())
+
+    def test_overflowing_gain_fails_without_a_floating_point_warning(self, square_graph):
+        # q / 1e-320 overflows to inf; the one error must not follow a RuntimeWarning.
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ValueError, match="pheromone levels must be finite"):
+            deposit(pheromones, [Tour((0, 1, 2, 3), 1e-320)], aco_config())
 
     def test_input_matrix_is_not_mutated(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
@@ -574,3 +607,93 @@ class TestRandomizedProperties:
             )
             assert abs(float(probs.sum()) - 1.0) <= 1e-12
             assert (probs >= 0.0).all()
+
+
+def random_symmetric(rng, n, low_decade, high_decade):
+    """Symmetric (n, n) matrix, zero diagonal, cells log-uniform over the decades."""
+    raw = 10.0 ** rng.uniform(low_decade, high_decade, (n, n))
+    m = np.triu(raw, 1)
+    return m + m.T
+
+
+def edge_draws(weights, start, picks):
+    """Draws that land exactly on a cumulative-probability edge at every transition.
+
+    Replays the list-based construction so that pick k puts the draw on the
+    k-th edge of the row actually sampled; an edge at or above 1.0 is replaced
+    by the largest draw below 1.0 (the last-candidate clamp). Stops at a row
+    that fails the sum check, where construction raises before drawing.
+    """
+    remaining = [j for j in range(len(weights)) if j != start]
+    current, draws = start, []
+    for pick in picks:
+        row = weights[current, remaining]
+        total = row.sum()
+        if not 0.0 < total < np.inf:
+            break
+        edges = np.cumsum(row / total)
+        u = float(edges[pick % len(remaining)])
+        if not u < 1.0:
+            u = float(np.nextafter(1.0, 0.0))
+        idx = min(int(np.searchsorted(edges, u, side="right")), len(remaining) - 1)
+        current = remaining.pop(idx)
+        draws.append(u)
+    return draws
+
+
+class TestReferenceParity:
+    """The array forms against the list loops in ``tests/aco_reference.py``."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 60),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]),
+        st.sampled_from([0.0, 95.0, -95.0]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_construct_tour_matches_the_list_loop(
+        self, seed, n, alpha, beta, distance_decade, on_edges, data
+    ):
+        # Distances far from 1 make tau**alpha * (1/d)**beta under- or overflow
+        # on some rows, so both must then raise the same error for the same node.
+        rng = np.random.default_rng(seed)
+        graph = DistanceGraph(random_symmetric(rng, n, distance_decade - 2, distance_decade + 2))
+        pheromones = PheromoneMatrix(random_symmetric(rng, n, -12.0, np.log10(5.0)))
+        config = aco_config(alpha=alpha, beta=beta)
+        weights = transition_weights(graph, pheromones, config)
+        start = data.draw(st.integers(0, n - 1))
+        if on_edges:
+            picks = data.draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+            draws = edge_draws(weights, start, picks)
+            streams = ForcedStream(draws), ForcedStream(draws)
+        else:
+            streams = derive_stream(seed, 1), derive_stream(seed, 1)
+
+        outcomes = []
+        for build, stream in zip((construct_tour, aco_reference.construct_tour), streams):
+            try:
+                outcomes.append(build(graph, weights, config, stream, start))
+            except ContractError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]  # the same Tour, or the same error text
+        # Neither draws before its sum check passes, so both consumed the same draws.
+        if on_edges:
+            assert streams[0].remaining == streams[1].remaining
+        else:
+            assert streams[0].next_uniform() == streams[1].next_uniform()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 59), st.integers(1, 79))
+    def test_tour_length_and_deposit_match_the_python_folds(self, seed, n, num_tours):
+        rng = np.random.default_rng(seed)
+        graph = DistanceGraph(random_symmetric(rng, n, -3.0, 3.0))
+        pheromones = PheromoneMatrix(random_symmetric(rng, n, -12.0, 1.0))
+        config = aco_config(q=float(10.0 ** rng.uniform(-2.0, 2.0)))
+        orders = [tuple(rng.permutation(n).tolist()) for _ in range(num_tours)]
+        tours = [Tour(order, tour_length(graph, order)) for order in orders]
+
+        for tour in tours:
+            assert tour.length == aco_reference.tour_length(graph, tour.order)
+        after = deposit(pheromones, tours, config)
+        assert np.array_equal(after.tau, aco_reference.deposit(pheromones.tau, tours, config.q))

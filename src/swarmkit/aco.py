@@ -10,7 +10,8 @@ edge is ever locked out.
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
 lengths, and one ordered ``np.add.at`` for the deposit. Each gives the bits
-of the plain Python loop it replaced.
+of the plain Python loop it replaced. ``construct_tour`` samples each move
+from the kernel that computes ``transition_probabilities``.
 """
 
 from __future__ import annotations
@@ -159,24 +160,29 @@ def transition_probabilities(
     """Move probabilities from ``current`` over unvisited nodes.
 
     Entry j (in ascending node order over the unvisited set) is
-    proportional to tau^alpha * (1/distance)^beta. The vector sums to 1.
+    proportional to tau^alpha * (1/distance)^beta. The vector sums to 1 and
+    is what :func:`construct_tour` samples from, computed by the same kernel.
     """
     n = graph.n
     if not 0 <= current < n:
         raise ContractError(f"current node {current} out of range [0, {n})")
-    blocked = set(visited)
-    outside = sorted(j for j in blocked if not 0 <= j < n)
-    if outside:
-        raise ContractError(f"visited node {outside[0]} out of range [0, {n})")
-    blocked.add(current)
-    candidates = [j for j in range(n) if j not in blocked]
-    if not candidates:
+    blocked = np.array([*visited, current])
+    if blocked.dtype.kind not in "iu":
+        raise ContractError(f"visited nodes must be integers, got {blocked[:-1].tolist()}")
+    outside = blocked[(blocked < 0) | (blocked >= n)]
+    if outside.size:
+        raise ContractError(f"visited node {outside.min()} out of range [0, {n})")
+    free = np.ones(n, dtype=bool)
+    free[blocked] = False
+    if not free.any():
         raise ContractError("no unvisited nodes to move to")
-    row = transition_weights(graph, pheromones, config)[current, candidates]
-    return _normalized(row, current, config)
+    return _move(transition_weights(graph, pheromones, config)[current], free, current, config)[1]
 
 
-def _normalized(weights: np.ndarray, current: int, config: AcoConfig) -> np.ndarray:
+def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):
+    """The ``free`` nodes, ascending, and their move probabilities on ``current``'s weight row."""
+    candidates = free.nonzero()[0]
+    weights = row.take(candidates)
     # np.add.reduce is what ndarray.sum runs for a 1-D float64 row, minus the wrapper.
     total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
@@ -184,7 +190,7 @@ def _normalized(weights: np.ndarray, current: int, config: AcoConfig) -> np.ndar
             f"transition weights from node {current} sum to {total}: tau**alpha * "
             f"(1/d)**beta overflows or underflows (alpha={config.alpha}, beta={config.beta})"
         )
-    return weights / total
+    return candidates, weights / total
 
 
 def construct_tour(
@@ -213,8 +219,7 @@ def construct_tour(
     order = np.empty(n, dtype=np.intp)
     order[0] = current = start
     for step in range(1, n):
-        remaining = free.nonzero()[0]
-        probs = _normalized(weights[current].take(remaining), current, config)
+        remaining, probs = _move(weights[current], free, current, config)
         u = stream.next_uniform()
         idx = int(probs.cumsum().searchsorted(u, "right"))
         # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
@@ -280,8 +285,8 @@ def deposit(
         return PheromoneMatrix(tau)
     paths = []
     for tour in tours:
-        if tour.length <= 0:
-            raise ContractError(f"tour length must be positive, got {tour.length}")
+        if not 0 < tour.length < np.inf:
+            raise ContractError(f"tour length must be finite and positive, got {tour.length}")
         paths.append(_permutation(pheromones.n, tour.order))
     nodes = np.stack(paths)
     nxt = _successors(nodes)

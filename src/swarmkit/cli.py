@@ -358,16 +358,7 @@ def aggregate_bests(bests: list) -> dict:
 
 def emit_summary(summary: RunSummary) -> str:
     """Deterministically ordered JSON for the summary (plus trailing LF)."""
-    payload = {
-        "algorithm": summary.algorithm,
-        "problem": summary.problem,
-        "rng_algorithm": summary.rng_algorithm,
-        "config": summary.config,
-        "per_seed": list(summary.per_seed),
-        "aggregate": summary.aggregate,
-        "total_evaluations": summary.total_evaluations,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(asdict(summary), indent=2) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:

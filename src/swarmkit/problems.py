@@ -116,7 +116,6 @@ def load_tsp_instance(text: str, name: str = "instance") -> TspInstance:
     """
     n = None
     coords = None
-    seen = set()
     next_index = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -141,11 +140,10 @@ def load_tsp_instance(text: str, name: str = "instance") -> TspInstance:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:
             raise ConfigError(f"line {lineno}: malformed point line {line!r}") from None
-        if index in seen:
+        if 0 <= index < next_index:
             raise ConfigError(f"line {lineno}: duplicate point index {index}")
         if index != next_index:
             raise ConfigError(f"line {lineno}: expected index {next_index}, got {index}")
-        seen.add(index)
         coords[index] = (x, y)
         next_index += 1
     if n is None:

@@ -10,8 +10,8 @@ r2, dimensions ascending) and the result clamped per dimension to
 vmax alone bounds the dynamics. Positions are never clamped to the search
 box.
 
-The swarm state is row-per-particle arrays, and ``step`` applies the
-single-particle rule bodies to all rows at once.
+The swarm state is row-per-particle arrays. ``step`` runs each rule's one
+body on all rows at once; the public rule functions run it on one particle.
 
 Each particle owns the derived stream ``(seed, 1 + index)``; stream id 0
 seeds initialization. That layout is part of the reproducibility contract:
@@ -35,7 +35,6 @@ from .core import (
     TerminationCriteria,
     TraceEntry,
     derive_stream,
-    fitness_key,
     record_iteration,
     require_finite,
     should_terminate,
@@ -177,16 +176,14 @@ def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> 
     """The attractor position for one particle under the given topology.
 
     Global returns the swarm gbest. Ring(k) returns the best pbest among
-    the 2k+1 ring neighbors (self included), ties to the lowest index.
+    the 2k+1 ring neighbors (self included), ties to the lowest index. It is
+    row ``particle_index`` of the guides :func:`step` moves the swarm toward.
     """
     n = len(state.pbest_fitness)
     if not 0 <= particle_index < n:
         raise ContractError(f"particle index {particle_index} out of range [0, {n})")
-    if isinstance(topology, Global):
-        return state.gbest_position
-    indices = sorted({(particle_index + off) % n for off in range(-topology.k, topology.k + 1)})
-    best = min(indices, key=lambda i: (fitness_key(state.pbest_fitness[i]), i))
-    return state.pbest_position[best]
+    guides = _guides(state, _keyed(state.pbest_fitness), topology)
+    return guides[particle_index] if guides.ndim == 2 else guides
 
 
 def update_velocity(
@@ -253,17 +250,30 @@ def update_pbest(particle: Particle, new_fitness: float) -> Particle:
     """Adopt the current position as pbest on strict improvement only.
 
     Non-finite fitnesses never improve, so NaN objectives cannot poison
-    the memory.
+    the memory. Returns ``particle`` itself when nothing improves.
     """
-    if fitness_key(new_fitness) < fitness_key(particle.pbest_fitness):
-        return dataclasses.replace(
-            particle, pbest_position=particle.position, pbest_fitness=float(new_fitness)
-        )
-    return particle
+    improved, pbest, fitness, _ = _adopted(
+        particle, particle.position, new_fitness, _keyed(new_fitness)
+    )
+    return Particle(particle.position, particle.velocity, pbest, fitness) if improved else particle
 
 
 def _keyed(fitness: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(fitness), fitness, np.inf)
+
+
+def _adopted(prior, position, fitness, keyed):
+    """Row-wise, adopt ``position`` where ``keyed`` strictly beats ``prior``'s keyed pbest.
+
+    Returns the improved mask and the new pbest positions, fitnesses and keyed fitnesses."""
+    keyed_prior = _keyed(prior.pbest_fitness)
+    improved = keyed < keyed_prior
+    return (
+        improved,
+        np.where(improved[..., None], position, prior.pbest_position),
+        np.where(improved, fitness, prior.pbest_fitness),
+        np.where(improved, keyed, keyed_prior),
+    )
 
 
 def _evaluated(objective, position, velocity, prior):
@@ -277,11 +287,7 @@ def _evaluated(objective, position, velocity, prior):
     non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
     pbest, iteration = position, 0
     if prior is not None:
-        keyed_prior = _keyed(prior.pbest_fitness)
-        improved = keyed < keyed_prior
-        fitness = np.where(improved, fitness, prior.pbest_fitness)
-        pbest = np.where(improved[:, None], position, prior.pbest_position)
-        keyed = np.where(improved, keyed, keyed_prior)
+        _, pbest, fitness, keyed = _adopted(prior, position, fitness, keyed)
         non_finite += prior.non_finite_evals
         iteration = prior.iteration
     best = int(np.argmin(keyed))
@@ -322,7 +328,7 @@ def step(
     guides = _guides(evaluated, keyed, config.topology)
     draws = np.stack([stream.next_uniforms(2 * objective.dimension) for stream in streams])
     velocity = _velocity_rule(evaluated, guides, draws, config, resolve_vmax(config, objective))
-    position = state.position + velocity
+    position = update_position(state.position, velocity)
     return dataclasses.replace(
         evaluated, position=position, velocity=velocity, iteration=state.iteration + 1
     )

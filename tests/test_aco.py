@@ -181,6 +181,12 @@ class TestTransitionProbabilities:
         with pytest.raises(ContractError, match=r"visited node -1 out of range \[0, 4\)"):
             transition_probabilities(square_graph, pheromones, 0, [7, -1], aco_config())
 
+    def test_non_integer_visited_rejected(self, square_graph):
+        # A float is neither truncated to a node index nor ignored.
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ContractError, match="visited nodes must be integers"):
+            transition_probabilities(square_graph, pheromones, 0, [1.0], aco_config())
+
     def test_zero_exponents_give_uniform_probabilities(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -458,6 +464,13 @@ class TestDeposit:
         with pytest.raises(ContractError, match="order must visit every node exactly once"):
             deposit(pheromones, [Tour((0, 1, 2, 3), 4.0), tour], aco_config())
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length_rejected(self, square_graph, length):
+        # API misuse: a ContractError, not PheromoneMatrix's ConfigError (NaN) or a no-op (inf).
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ContractError, match="tour length must be finite and positive"):
+            deposit(pheromones, [Tour((0, 1, 2, 3), length)], aco_config())
+
     def test_overflowing_gain_fails_without_a_floating_point_warning(self, square_graph):
         # q / 1e-320 overflows to inf; the one error must not follow a RuntimeWarning.
         pheromones = initialize_pheromones(square_graph, aco_config())
@@ -639,6 +652,46 @@ def edge_draws(weights, start, picks):
         current = remaining.pop(idx)
         draws.append(u)
     return draws
+
+
+class TestSamplingParity:
+    """``construct_tour`` against the public ``transition_probabilities``."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 30),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_construct_tour_samples_the_transition_probabilities(
+        self, seed, n, alpha, beta, on_edges, data
+    ):
+        # Each move must be the inverse-CDF pick over the probabilities the
+        # public rule reports for the tour built so far.
+        rng = np.random.default_rng(seed)
+        graph = DistanceGraph(random_symmetric(rng, n, -2.0, 2.0))
+        pheromones = PheromoneMatrix(random_symmetric(rng, n, -12.0, np.log10(5.0)))
+        config = aco_config(alpha=alpha, beta=beta)
+        weights = transition_weights(graph, pheromones, config)
+        start = data.draw(st.integers(0, n - 1), label="start")
+        if on_edges:
+            picks = data.draw(st.lists(st.integers(0, n), min_size=n - 1, max_size=n - 1))
+            draws = edge_draws(weights, start, picks)
+        else:
+            unit = st.floats(0.0, 1.0, exclude_max=True)
+            draws = data.draw(st.lists(unit, min_size=n - 1, max_size=n - 1), label="draws")
+        tour = construct_tour(graph, weights, config, ForcedStream(draws), start)
+
+        order = list(tour.order)
+        for step, u in enumerate(draws, start=1):
+            # ``current`` is blocked whether or not ``visited`` lists it.
+            visited = order[: step - step % 2]
+            probs = transition_probabilities(graph, pheromones, order[step - 1], visited, config)
+            candidates = sorted(set(range(n)) - set(order[:step]))
+            idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+            assert order[step] == candidates[min(idx, len(candidates) - 1)]
 
 
 class TestReferenceParity:

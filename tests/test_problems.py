@@ -155,6 +155,11 @@ class TestLoadTspInstance:
         with pytest.raises(ConfigError, match="line 3: expected index 1, got 2"):
             load_tsp_instance("3\n0 0.0 0.0\n2 0.0 1.0\n1 1.0 0.0\n")
 
+    def test_negative_index(self):
+        # Below every index read so far, yet not a duplicate.
+        with pytest.raises(ConfigError, match="line 3: expected index 1, got -1"):
+            load_tsp_instance("3\n0 0.0 0.0\n-1 0.0 1.0\n2 1.0 0.0\n")
+
     def test_too_many_points(self):
         with pytest.raises(ConfigError, match="more than 3 point lines"):
             load_tsp_instance("3\n0 0.0 0.0\n1 0.0 1.0\n2 1.0 0.0\n3 2.0 2.0\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pso_rule_reference
 from conftest import ForcedStream
 from swarmkit import (
     ConfigError,
@@ -350,18 +351,69 @@ class TestUpdatePbest:
         assert update_pbest(particle, 100.0).pbest_fitness == 100.0
 
 
+# Fitnesses with ties and every non-finite kind, for the rule parity tests.
+FITNESSES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]), st.floats(-4.0, 4.0)
+)
+
+
+class TestReferenceParity:
+    """The rule functions against the per-particle bodies in ``tests/pso_rule_reference.py``."""
+
+    @given(st.data())
+    def test_select_guide_matches_the_per_particle_body(self, data):
+        fitnesses = data.draw(st.lists(FITNESSES, min_size=1, max_size=12), label="fitnesses")
+        n = len(fitnesses)
+        # Narrow rings (2k+1 < n) take the neighborhood path; wider ones cover the
+        # whole swarm, where the engine takes gbest instead.
+        radius = st.integers(1, max(1, (n - 2) // 2)) | st.integers(1, n + 2)
+        topology = data.draw(st.just(Global()) | radius.map(lambda k: Ring(k=k)), label="topology")
+        state = state_of(
+            [
+                make_particle([float(i), -float(i)], [0.0, 0.0], [float(i), 0.5 * i], fit)
+                for i, fit in enumerate(fitnesses)
+            ]
+        )
+        for i in range(n):
+            guide = select_guide(state, i, topology)
+            assert np.array_equal(guide, pso_rule_reference.select_guide(state, i, topology))
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+        FITNESSES,
+        FITNESSES,
+    )
+    def test_update_pbest_matches_the_per_particle_body(self, position, pbest_fitness, fitness):
+        d = len(position)
+        particle = make_particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
+        out = update_pbest(particle, fitness)
+        ref = pso_rule_reference.update_pbest(particle, fitness)
+        assert (out is particle) == (ref is particle)
+        assert np.array_equal(out.position, ref.position)
+        assert np.array_equal(out.velocity, ref.velocity)
+        assert np.array_equal(out.pbest_position, ref.pbest_position)
+        assert np.array_equal(out.pbest_fitness, ref.pbest_fitness, equal_nan=True)
+
+
 def manual_step(state, objective, config, streams):
-    """Per-particle composition of the public operations, for comparison."""
+    """Per-particle composition of the reference rules, for comparison.
+
+    The guide and pbest rules come from ``tests/pso_rule_reference.py`` and
+    the position step is a bare sum, so no rule body is shared with ``step``
+    except the velocity rule.
+    """
     vmax = resolve_vmax(config, objective)
     fitnesses = [float(objective.evaluate(p.position)) for p in state.particles]
-    evaluated = [update_pbest(p, f) for p, f in zip(state.particles, fitnesses)]
+    evaluated = [
+        pso_rule_reference.update_pbest(p, f) for p, f in zip(state.particles, fitnesses)
+    ]
     non_finite = state.non_finite_evals + sum(not math.isfinite(f) for f in fitnesses)
     interim = state_of(evaluated, state.iteration)
     moved = []
     for i, particle in enumerate(interim.particles):
-        guide = select_guide(interim, i, config.topology)
+        guide = pso_rule_reference.select_guide(interim, i, config.topology)
         velocity = update_velocity(particle, guide, config, streams[i], vmax=vmax)
-        position = update_position(particle.position, velocity)
+        position = particle.position + velocity
         moved.append(
             Particle(position, velocity, particle.pbest_position, particle.pbest_fitness)
         )

@@ -4,6 +4,8 @@ Config files are flat ``key=value`` lines with ``#`` comments. Every run
 writes one ``trace_seed<SEED>.csv`` per seed (streamed row by row, then
 atomically renamed into place) plus one ``summary.json``. Identical
 configs produce byte-identical trace files regardless of worker count.
+``validate`` runs ``run``'s checks up to the first seed, through the same
+problem loader that ``run`` calls once per experiment.
 """
 
 from __future__ import annotations
@@ -237,6 +239,13 @@ def _load_instance(path: str) -> TspInstance:
     return load_tsp_instance(Path(path).read_text(), name=Path(path).stem)
 
 
+def _problem(config: ExperimentConfig):
+    """What every seed of ``config`` runs on: the objective (PSO) or the instance's graph (ACO)."""
+    if config.algorithm == "pso":
+        return benchmark(config.problem, config.dim).spec
+    return _load_instance(config.problem).graph
+
+
 def _trace_row(entry: TraceEntry) -> str:
     return f"{entry.iteration},{entry.best_fitness!r},{entry.evaluations}"
 
@@ -278,8 +287,9 @@ def _atomic_output(path: Path):
         raise
 
 
-def _run_single(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
-    """Execute one seeded run, streaming its trace file. Worker-safe."""
+def _run_single(config: ExperimentConfig, problem, seed: int, out_dir: str) -> dict:
+    """Execute one seeded run on ``_problem(config)``, streaming its trace file. Worker-safe."""
+    optimizer = optimize if config.algorithm == "pso" else optimize_aco
     trace_path = Path(out_dir) / f"trace_seed{seed}.csv"
     started = time.perf_counter()
     with _atomic_output(trace_path) as fh:
@@ -288,16 +298,10 @@ def _run_single(config: ExperimentConfig, seed: int, out_dir: str) -> dict:
         def writer(entry: TraceEntry) -> None:
             fh.write(_trace_row(entry) + "\n")
 
-        if config.algorithm == "pso":
-            bench = benchmark(config.problem, config.dim)
-            _, best, trace = optimize(bench.spec, config.engine, seed, on_iteration=writer)
-        else:
-            instance = _load_instance(config.problem)
-            tour, trace = optimize_aco(instance.graph, config.engine, seed, on_iteration=writer)
-            best = tour.length
+        trace = optimizer(problem, config.engine, seed, on_iteration=writer)[-1]
     return {
         "seed": seed,
-        "best_fitness": best,
+        "best_fitness": trace.best_fitness,
         "evaluations": trace.evaluations,
         "wall_clock_seconds": time.perf_counter() - started,
     }
@@ -310,29 +314,25 @@ def run_experiment(
 ) -> RunSummary:
     """One run per seed; writes per-seed traces plus summary.json.
 
-    Seeds may execute in parallel worker processes, at most one per seed;
-    results and files are identical for any worker count because each run
-    is fully isolated.
+    The problem is resolved once, before the first seed, so a missing or
+    malformed instance fails before any worker starts. Seeds may execute in
+    parallel worker processes, at most one per seed; results and files are
+    identical for any worker count because each run is fully isolated.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(output_dir if output_dir is not None else (config.output or DEFAULT_OUTPUT_DIR))
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(config, seed, str(out)) for seed in config.seeds]
-    if workers == 1 or len(jobs) == 1:
-        results = [_run_single(*job) for job in jobs]
+    run = functools.partial(_run_single, config, _problem(config), out_dir=str(out))
+    if workers == 1 or len(config.seeds) == 1:
+        results = list(map(run, config.seeds))
     else:
         # The pool may start all max_workers processes up front, so start none
-        # that would have no seed to run.
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = [pool.submit(_run_single, *job) for job in jobs]
-            try:
-                results = [f.result() for f in futures]
-            except BaseException:
-                for future in futures:
-                    future.cancel()
-                raise
+        # that would have no seed to run. If one seed raises, map cancels the
+        # seeds that have not started.
+        with ProcessPoolExecutor(max_workers=min(workers, len(config.seeds))) as pool:
+            results = list(pool.map(run, config.seeds))
 
     summary = RunSummary(
         algorithm=config.algorithm,
@@ -388,9 +388,7 @@ def _cmd_brute_force(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = parse_config(args.config.read_text())
-    if config.algorithm == "aco":
-        _load_instance(config.problem)
+    _problem(parse_config(args.config.read_text()))
     print("ok")
     return 0
 
@@ -406,22 +404,23 @@ def main(argv=None) -> int:
     run_parser.add_argument("config", type=Path, help="flat key=value config file")
     run_parser.add_argument("--output", default=None, help="output directory (overrides config)")
     run_parser.add_argument("--workers", type=int, default=1, help="parallel seed runners")
+    run_parser.set_defaults(handler=_cmd_run)
 
     brute_parser = sub.add_parser("brute-force", help="print the exact oracle tour of an instance")
     brute_parser.add_argument("instance", type=Path, help="TSP instance file")
+    brute_parser.set_defaults(handler=_cmd_brute_force)
 
     validate_parser = sub.add_parser("validate", help="parse a config file without running it")
     validate_parser.add_argument("config", type=Path)
+    validate_parser.set_defaults(handler=_cmd_validate)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "brute-force":
-            return _cmd_brute_force(args)
-        return _cmd_validate(args)
-    except (ConfigError, ContractError, OSError, BrokenExecutor) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.handler(args)
+    except (
+        ConfigError, ContractError, OSError, BrokenExecutor, UnicodeDecodeError, MemoryError
+    ) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

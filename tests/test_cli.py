@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import re
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
@@ -456,14 +455,37 @@ class TestRunExperiment:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
         run_experiment(parse_config(small_pso_text(seeds=seeds)), str(tmp_path), workers=workers)
         assert sizes == [started]
+
+    def test_aco_instance_is_read_once_per_run(self, tmp_path, monkeypatch):
+        instance_file = tmp_path / "square.txt"
+        instance_file.write_text(UNIT_SQUARE_TEXT)
+        reads = []
+
+        def counting_load(*args, **kwargs):
+            reads.append(args)
+            return load_tsp_instance(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_tsp_instance", counting_load)
+        config = parse_config(small_aco_text(str(instance_file)).replace("1,2", "1..3"))
+        summary = run_experiment(config, output_dir=str(tmp_path / "out"))
+        assert [r["seed"] for r in summary.per_seed] == [1, 2, 3]
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("algorithm", ["pso", "aco"])
+    def test_summary_best_is_the_last_trace_row(self, algorithm, tmp_path):
+        instance_file = tmp_path / "square.txt"
+        instance_file.write_text(UNIT_SQUARE_TEXT)
+        text = small_pso_text() if algorithm == "pso" else small_aco_text(str(instance_file))
+        summary = run_experiment(parse_config(text), output_dir=str(tmp_path / "out"))
+        for record in summary.per_seed:
+            trace_text = (tmp_path / "out" / f"trace_seed{record['seed']}.csv").read_text()
+            assert repr(record["best_fitness"]) == repr(parse_trace_csv(trace_text).best_fitness)
 
     def test_summaries_identical_modulo_wall_clock(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1..2"))
@@ -602,13 +624,6 @@ class TestMain:
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_broken_worker_pool_reports_single_line(self, tmp_path, capsys, monkeypatch):
-        class BrokenFuture:
-            def result(self):
-                raise BrokenProcessPool("a worker process died")
-
-            def cancel(self):
-                return False
-
         class BrokenPool:
             def __init__(self, max_workers):
                 pass
@@ -619,8 +634,8 @@ class TestMain:
             def __exit__(self, *exc_info):
                 return False
 
-            def submit(self, fn, *args):
-                return BrokenFuture()
+            def map(self, fn, *iterables):
+                raise BrokenProcessPool("a worker process died")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
         cfg = tmp_path / "cfg.txt"
@@ -646,6 +661,62 @@ class TestMain:
         for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out"]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", message)
+
+    def test_missing_instance_fails_before_a_pool_starts(self, tmp_path, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text(str(tmp_path / "nowhere.txt")))
+        argv = ["run", str(cfg), "--output", str(tmp_path / "out"), "--workers", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+        assert pools == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_undecodable_config_reports_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"# caf\xe9\n" + small_pso_text().encode())
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
+            assert err.count("\n") == 1
+
+    def test_undecodable_instance_reports_one_line(self, tmp_path, capsys):
+        instance = tmp_path / "cities.txt"
+        instance.write_bytes(b"\xff" + UNIT_SQUARE_TEXT.encode())
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text(str(instance)))
+        for argv in (["brute-force", str(instance)], ["run", str(cfg), "--output", str(tmp_path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 745. GiB", "error: Unable to allocate 745. GiB\n"),
+            ("", "error: MemoryError\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_exhausted_memory_reports_one_line(self, message, line, tmp_path, capsys, monkeypatch):
+        def out_of_memory(name, dimension):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "benchmark", out_of_memory)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text())
+        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", line)
 
     def test_benchmark_dimension_fails_validate_and_run_alike(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

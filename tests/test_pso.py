@@ -75,6 +75,22 @@ def state_from_pbest_fitnesses(fitnesses):
     )
 
 
+class TestParticle:
+    @pytest.mark.parametrize(
+        "position, velocity, pbest",
+        [
+            ([0.0, 0.0], [0.0], [0.0, 0.0]),
+            ([0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]),
+            ([[0.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]]),
+            (0.0, 0.0, 0.0),
+        ],
+        ids=["velocity-short", "pbest-long", "2-d", "0-d"],
+    )
+    def test_vectors_must_be_1d_and_share_one_dimension(self, position, velocity, pbest):
+        with pytest.raises(ConfigError, match="particle vectors must be 1-d"):
+            Particle(position, velocity, pbest, 0.0)
+
+
 class TestPsoConfig:
     def test_defaults(self):
         config = PsoConfig(swarm_size=10, termination=TerminationCriteria(max_iterations=5))

@@ -144,6 +144,8 @@ def transition_weights(
 ) -> np.ndarray:
     """(n, n) move weights tau^alpha * (1/distance)^beta, zero diagonal. Overflow and
     underflow give inf and 0 without a warning; a row they spoil fails the sum check."""
+    if pheromones.n != graph.n:
+        raise ContractError(f"pheromones cover {pheromones.n} nodes, the graph {graph.n}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         weights = pheromones.tau**config.alpha * (1.0 / graph.distance) ** config.beta
     np.fill_diagonal(weights, 0.0)

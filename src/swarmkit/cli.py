@@ -40,11 +40,11 @@ DEFAULT_OUTPUT_DIR = "runs"
 TRACE_HEADER = "iteration,best_fitness,evaluations"
 _MAX_SEEDS = 1_000_000  # longest "a..b" range; it is expanded into a tuple of seeds
 
-_COMMON_KEYS = ("algorithm", "problem", "seeds", "output")
 _ENGINES = {"pso": PsoConfig, "aco": AcoConfig}
-# Keys the harness reads itself; every other key is a field of the engine
-# config or of its TerminationCriteria.
-_HARNESS_KEYS = {"pso": ("dim", "topology", "ring_k"), "aco": ()}
+# Keys the harness reads itself beyond algorithm, problem, seeds and output,
+# with their types; every other key is a field of the engine config or of
+# its TerminationCriteria.
+_HARNESS_KEYS = {"pso": {"dim": int, "topology": str, "ring_k": int}, "aco": {}}
 # Engine fields built from other keys rather than set directly.
 _DERIVED_FIELDS = ("termination", "topology")
 
@@ -53,18 +53,22 @@ _DERIVED_FIELDS = ("termination", "topology")
 class ExperimentConfig:
     """Fully validated experiment description with defaults filled in.
 
-    Every tunable lives in ``engine``; only what no engine owns is kept
-    here. ``ring_k`` is kept even under the global topology because the
-    summary echoes it.
+    Every tunable lives in ``engine``, and the engine fixes the algorithm;
+    only what no engine owns is kept here. ``ring_k`` is kept even under the
+    global topology because the summary echoes it.
     """
 
-    algorithm: str
     problem: str
     seeds: tuple[int, ...]
     engine: Union[PsoConfig, AcoConfig]
-    dim: Optional[int] = None
-    output: Optional[str] = None
-    ring_k: int = 1
+    dim: Optional[int]
+    output: Optional[str]
+    ring_k: int
+
+    @property
+    def algorithm(self) -> str:
+        """``"pso"`` for a :class:`PsoConfig` engine, ``"aco"`` otherwise."""
+        return "pso" if isinstance(self.engine, PsoConfig) else "aco"
 
 
 @dataclass(frozen=True)
@@ -124,23 +128,17 @@ def _tunables(cls) -> list:
     return [f for f in fields(cls) if f.name not in _DERIVED_FIELDS]
 
 
-def _accepted_keys(algorithm: str) -> set[str]:
-    return {
-        *_COMMON_KEYS,
-        *(f.name for f in _tunables(TerminationCriteria)),
-        *(f.name for f in _tunables(_ENGINES[algorithm])),
-        *_HARNESS_KEYS[algorithm],
-    }
-
-
 @functools.cache
-def _key_types(algorithm: str) -> dict:
-    """Declared type of each numeric key, read once from the dataclass annotations."""
+def _keys(algorithm: str) -> dict:
+    """Every key a config for ``algorithm`` accepts, with its declared type."""
     return {
-        **get_type_hints(TerminationCriteria),
-        **get_type_hints(_ENGINES[algorithm]),
-        "dim": int,
-        "ring_k": int,
+        **dict.fromkeys(("algorithm", "problem", "seeds", "output"), str),
+        **{
+            f.name: get_type_hints(cls)[f.name]
+            for cls in (TerminationCriteria, _ENGINES[algorithm])
+            for f in _tunables(cls)
+        },
+        **_HARNESS_KEYS[algorithm],
     }
 
 
@@ -172,11 +170,11 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"algorithm must be pso or aco, got {algorithm!r}")
     engine_cls = _ENGINES[algorithm]
 
-    allowed = _accepted_keys(algorithm)
+    keys = _keys(algorithm)
     for key in pairs:
-        if key in allowed:
+        if key in keys:
             continue
-        if any(key in _accepted_keys(other) for other in _ENGINES):
+        if any(key in _keys(other) for other in _ENGINES):
             raise ConfigError(f"key {key} is not valid for algorithm {algorithm}")
         raise ConfigError(f"unknown key {key}")
 
@@ -195,13 +193,12 @@ def parse_config(text: str) -> ExperimentConfig:
     seeds = _parse_seeds(pairs.pop("seeds"))
     output = pairs.pop("output", None)
     topology = pairs.pop("topology", "global")
-    types = _key_types(algorithm)
-    values = {key: _coerce(key, value, types[key]) for key, value in pairs.items()}
+    values = {key: _coerce(key, value, keys[key]) for key, value in pairs.items()}
     termination = TerminationCriteria(
         **{f.name: values.pop(f.name) for f in fields(TerminationCriteria) if f.name in values}
     )
     dim = values.pop("dim", None)
-    ring_k = values.pop("ring_k", 1)
+    ring_k = values.pop("ring_k", Ring.k)
 
     if algorithm == "aco":
         engine = AcoConfig(termination=termination, **values)
@@ -216,7 +213,7 @@ def parse_config(text: str) -> ExperimentConfig:
             # The summary echoes ring_k under global too, so range-check it there as well.
             PsoConfig(termination=termination, topology=topologies["ring"], **values)
         engine = PsoConfig(termination=termination, topology=topologies[topology], **values)
-    return ExperimentConfig(algorithm, problem, seeds, engine, dim, output, ring_k)
+    return ExperimentConfig(problem, seeds, engine, dim, output, ring_k)
 
 
 def _config_echo(config: ExperimentConfig) -> dict:
@@ -235,8 +232,16 @@ def _config_echo(config: ExperimentConfig) -> dict:
     }
 
 
+def _read(path) -> str:
+    """The text of ``path`` as UTF-8; a file that does not decode is named in the error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{exc} in {path}") from None
+
+
 def _load_instance(path: str) -> TspInstance:
-    return load_tsp_instance(Path(path).read_text(), name=Path(path).stem)
+    return load_tsp_instance(_read(path), name=Path(path).stem)
 
 
 def _problem(config: ExperimentConfig):
@@ -367,7 +372,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(args.config.read_text())
+    config = parse_config(_read(args.config))
     summary = run_experiment(config, output_dir=args.output, workers=args.workers)
     for record in summary.per_seed:
         print(
@@ -388,7 +393,7 @@ def _cmd_brute_force(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _problem(parse_config(args.config.read_text()))
+    _problem(parse_config(_read(args.config)))
     print("ok")
     return 0
 
@@ -417,9 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        ConfigError, ContractError, OSError, BrokenExecutor, UnicodeDecodeError, MemoryError
-    ) as exc:
+    except (ConfigError, ContractError, OSError, BrokenExecutor, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

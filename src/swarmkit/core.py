@@ -59,13 +59,10 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def derive_stream(seed: int, stream_id: int) -> RngStream:
-    """Build the independent stream for ``(seed, stream_id)``.
-
-    Pure in its arguments: calling twice yields streams that replay the
-    same sequence.
-    """
-    return RngStream(seed, stream_id)
+# The independent stream for ``(seed, stream_id)``. A Philox stream is a pure
+# function of its key, so the constructor already is the derivation: two
+# calls with the same arguments replay the same sequence.
+derive_stream = RngStream
 
 
 def require_finite(config, *names: str) -> None:

@@ -6,9 +6,11 @@ The velocity rule is the plain two-term form
 
 with fresh uniform draws r1, r2 per dimension (drawn interleaved, r1 then
 r2, dimensions ascending) and the result clamped per dimension to
-[-vmax, +vmax]. There is no inertia weight and no constriction factor;
-vmax alone bounds the dynamics. Positions are never clamped to the search
-box.
+[-vmax, +vmax]. vmax is ``config.vmax``, or half the search range per
+dimension when that is unset (:func:`resolve_vmax`); ``update_velocity``
+reads it from the config alone. There is no inertia weight and no
+constriction factor; vmax alone bounds the dynamics. Positions are never
+clamped to the search box.
 
 The swarm state is row-per-particle arrays. ``step`` runs each rule's one
 body on all rows at once; the public rule functions run it on one particle.
@@ -187,28 +189,24 @@ def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> 
 
 
 def update_velocity(
-    particle: Particle,
-    guide_position: np.ndarray,
-    config: PsoConfig,
-    stream: RngStream,
-    vmax: Union[float, np.ndarray, None] = None,
+    particle: Particle, guide_position: np.ndarray, config: PsoConfig, stream: RngStream
 ) -> np.ndarray:
-    """One velocity update with fresh draws, clamped to [-vmax, vmax].
+    """One velocity update with fresh draws, clamped to [-config.vmax, config.vmax].
 
     Per dimension i (ascending, drawing r1 then r2):
 
         v'[i] = v[i] + c1*r1[i]*(pbest[i] - x[i]) + c2*r2[i]*(guide[i] - x[i])
+
+    ``config.vmax`` must be set; ``dataclasses.replace(config,
+    vmax=resolve_vmax(config, objective))`` gives the cap a run would use.
     """
-    if vmax is None:
-        vmax = config.vmax
-    if vmax is None:
-        raise ConfigError("vmax is unset; set it in the config or pass it explicitly")
-    _require_positive(vmax)
+    if config.vmax is None:
+        raise ConfigError("vmax is unset; set it in the config, e.g. from resolve_vmax")
     guide = np.asarray(guide_position, dtype=float)
     d = particle.position.shape[0]
     if guide.shape != (d,):
         raise ContractError(f"guide has shape {guide.shape}, particle dimension is {d}")
-    return _velocity_rule(particle, guide, stream.next_uniforms(2 * d), config, vmax)
+    return _velocity_rule(particle, guide, stream.next_uniforms(2 * d), config, config.vmax)
 
 
 def _velocity_rule(swarm, guide, draws, config, vmax):
@@ -224,14 +222,10 @@ def _velocity_rule(swarm, guide, draws, config, vmax):
     return np.clip(velocity, -vmax, vmax)
 
 
-def _require_positive(vmax: Union[float, np.ndarray]) -> None:
-    if not np.all(np.asarray(vmax) > 0):
-        raise ConfigError("vmax must be strictly positive")
-
-
 def clamp_velocity(velocity: np.ndarray, vmax: Union[float, np.ndarray]) -> np.ndarray:
     """Saturate each component into [-vmax, vmax]."""
-    _require_positive(vmax)
+    if not np.all(np.asarray(vmax) > 0):
+        raise ConfigError("vmax must be strictly positive")
     return np.clip(velocity, -vmax, vmax)
 
 

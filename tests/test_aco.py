@@ -262,6 +262,16 @@ class TestTransitionWeights:
         assert row.sum() == expected.sum()
         assert (np.diag(table) == 0.0).all()
 
+    def test_pheromones_for_another_graph_rejected(self, square_graph):
+        graph = random_tsp_instance(5, derive_stream(3, 0)).graph
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        for call in (
+            lambda: transition_weights(graph, pheromones, aco_config()),
+            lambda: transition_probabilities(graph, pheromones, 0, set(), aco_config()),
+        ):
+            with pytest.raises(ContractError, match="pheromones cover 4 nodes, the graph 5"):
+                call()
+
 
 class TestConstructTour:
     def test_output_is_a_permutation(self, square_graph):

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +20,7 @@ from conftest import UNIT_SQUARE_TEXT
 from swarmkit import (
     AcoConfig,
     ConfigError,
+    ExperimentConfig,
     Global,
     PsoConfig,
     Ring,
@@ -83,6 +87,12 @@ class TestParseConfig:
         assert (engine.alpha, engine.beta, engine.rho) == (1.0, 2.0, 0.5)
         assert (engine.q, engine.tau0, engine.tau_floor) == (1.0, 1.0, 1e-12)
         assert engine.num_ants is None
+
+    def test_algorithm_follows_the_engine(self):
+        # No stored copy, so a config cannot name aco while holding a PsoConfig.
+        assert "algorithm" not in {f.name for f in fields(ExperimentConfig)}
+        config = parse_config("algorithm=aco\nproblem=x.txt\nmax_iterations=5\nseeds=1\n")
+        assert config.algorithm == "aco" and isinstance(config.engine, AcoConfig)
 
     def test_comments_blanks_and_spaces_ignored(self):
         text = "# c\n\n algorithm = pso \nproblem=sphere\ndim=2\nswarm_size=3\nmax_iterations=1\nseeds=0\n"
@@ -361,6 +371,17 @@ def readme_keys(heading: str) -> set:
         if line.startswith("|"):
             keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
     return keys
+
+
+class TestReadme:
+    def test_library_quick_start_runs(self):
+        section = README.read_text().split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestConfigEcho:
@@ -687,6 +708,20 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
             assert err.count("\n") == 1
+            assert err.endswith(f" in {cfg}\n")
+
+    def test_config_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# café\n" + small_pso_text(), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), PYTHONUTF8="0", LC_ALL="C")
+        result = subprocess.run(
+            [sys.executable, "-m", "swarmkit", "validate", str(cfg)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
 
     def test_undecodable_instance_reports_one_line(self, tmp_path, capsys):
         instance = tmp_path / "cities.txt"
@@ -698,6 +733,7 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
             assert err.count("\n") == 1
+            assert err.endswith(f" in {instance}\n")
 
     @pytest.mark.parametrize(
         "message, line",

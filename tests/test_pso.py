@@ -1,5 +1,6 @@
 """Tests for the particle swarm engine."""
 
+import dataclasses
 import math
 import random
 
@@ -268,17 +269,9 @@ class TestUpdateVelocity:
         out = update_velocity(particle, np.array([100.0]), config, ForcedStream([1.0, 1.0]))
         assert out[0] == 1.5
 
-    def test_explicit_vmax_overrides_config(self):
-        particle = make_particle([0.0], [0.0], [100.0], 0.0)
-        config = self._config(vmax=50.0)
-        out = update_velocity(
-            particle, np.array([100.0]), config, ForcedStream([1.0, 1.0]), vmax=2.0
-        )
-        assert out[0] == 2.0
-
     def test_unset_vmax_everywhere_is_rejected(self):
         particle = make_particle([0.0], [0.0], [0.0], 0.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="resolve_vmax"):
             update_velocity(particle, np.array([0.0]), self._config(), ForcedStream([0.5, 0.5]))
 
     def test_guide_dimension_mismatch_rejected(self):
@@ -418,7 +411,7 @@ def manual_step(state, objective, config, streams):
     the position step is a bare sum, so no rule body is shared with ``step``
     except the velocity rule.
     """
-    vmax = resolve_vmax(config, objective)
+    config = dataclasses.replace(config, vmax=resolve_vmax(config, objective))
     fitnesses = [float(objective.evaluate(p.position)) for p in state.particles]
     evaluated = [
         pso_rule_reference.update_pbest(p, f) for p, f in zip(state.particles, fitnesses)
@@ -428,7 +421,7 @@ def manual_step(state, objective, config, streams):
     moved = []
     for i, particle in enumerate(interim.particles):
         guide = pso_rule_reference.select_guide(interim, i, config.topology)
-        velocity = update_velocity(particle, guide, config, streams[i], vmax=vmax)
+        velocity = update_velocity(particle, guide, config, streams[i])
         position = particle.position + velocity
         moved.append(
             Particle(position, velocity, particle.pbest_position, particle.pbest_fitness)

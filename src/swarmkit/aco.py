@@ -144,11 +144,20 @@ def transition_weights(
 ) -> np.ndarray:
     """(n, n) move weights tau^alpha * (1/distance)^beta, zero diagonal. Overflow and
     underflow give inf and 0 without a warning; a row they spoil fails the sum check."""
+    return _weights(graph, pheromones, config, slice(None))
+
+
+def _weights(graph, pheromones, config, rows):
+    """The move weights on ``rows`` (a slice) of the n x n tables, 0 from a node to itself.
+
+    Element-wise, so a row slice gets the bits of the same rows of the full table.
+    """
     if pheromones.n != graph.n:
         raise ContractError(f"pheromones cover {pheromones.n} nodes, the graph {graph.n}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = pheromones.tau**config.alpha * (1.0 / graph.distance) ** config.beta
-    np.fill_diagonal(weights, 0.0)
+        weights = pheromones.tau[rows] ** config.alpha * (1.0 / graph.distance[rows]) ** config.beta
+    nodes = np.arange(graph.n)[rows]
+    weights[np.arange(nodes.size), nodes] = 0.0
     return weights
 
 
@@ -178,7 +187,8 @@ def transition_probabilities(
     free[blocked] = False
     if not free.any():
         raise ContractError("no unvisited nodes to move to")
-    return _move(transition_weights(graph, pheromones, config)[current], free, current, config)[1]
+    row = _weights(graph, pheromones, config, slice(current, current + 1))[0]
+    return _move(row, free, current, config)[1]
 
 
 def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):

@@ -22,7 +22,7 @@ a run is a pure function of (objective, config, seed).
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -148,12 +148,20 @@ class SwarmState:
 def resolve_vmax(config: PsoConfig, objective: ObjectiveSpec) -> Union[float, np.ndarray]:
     """The effective velocity cap: configured, or half the range per dimension."""
     if config.vmax is None:
-        return 0.5 * (objective.upper_bound - objective.lower_bound)
+        return _half_range(objective)
     if isinstance(config.vmax, np.ndarray) and config.vmax.shape != (objective.dimension,):
         raise ConfigError(
             f"vmax has shape {config.vmax.shape}, objective dimension is {objective.dimension}"
         )
     return config.vmax
+
+
+@functools.lru_cache(maxsize=16)
+def _half_range(objective: ObjectiveSpec) -> np.ndarray:
+    """The default cap of ``objective`` (frozen, hashed by identity), read-only."""
+    cap = 0.5 * (objective.upper_bound - objective.lower_bound)
+    cap.flags.writeable = False
+    return cap
 
 
 def initialize_swarm(
@@ -165,13 +173,17 @@ def initialize_swarm(
     then d velocity draws, dimensions ascending. Each particle's pbest is
     its evaluated start position.
     """
-    d = objective.dimension
+    d, n = objective.dimension, config.swarm_size
     lower, upper = objective.lower_bound, objective.upper_bound
     vmax = resolve_vmax(config, objective)
-    draws = np.stack([stream.next_uniforms(d) for _ in range(2 * config.swarm_size)])
+    draws = np.concatenate([stream.next_uniforms(d) for _ in range(2 * n)]).reshape(2 * n, d)
     position = lower + (upper - lower) * draws[0::2]
     velocity = -vmax + 2.0 * vmax * draws[1::2]
-    return _evaluated(objective, position, velocity, prior=None)[0]
+    pbest, fitness, keyed, non_finite = _evaluated(objective, position, prior=None)
+    best = keyed.argmin()  # first minimum = lowest index
+    return SwarmState(
+        position, velocity, pbest, fitness, pbest[best], float(fitness[best]), 0, non_finite
+    )
 
 
 def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> np.ndarray:
@@ -184,7 +196,8 @@ def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> 
     n = len(state.pbest_fitness)
     if not 0 <= particle_index < n:
         raise ContractError(f"particle index {particle_index} out of range [0, {n})")
-    guides = _guides(state, _keyed(state.pbest_fitness), topology)
+    keyed = _keyed(state.pbest_fitness)
+    guides = _guides(state.pbest_position, state.gbest_position, keyed, topology)
     return guides[particle_index] if guides.ndim == 2 else guides
 
 
@@ -197,36 +210,42 @@ def update_velocity(
 
         v'[i] = v[i] + c1*r1[i]*(pbest[i] - x[i]) + c2*r2[i]*(guide[i] - x[i])
 
-    ``config.vmax`` must be set; ``dataclasses.replace(config,
-    vmax=resolve_vmax(config, objective))`` gives the cap a run would use.
+    ``config.vmax`` must be set, and a per-dimension cap must have the
+    particle's shape; ``dataclasses.replace(config, vmax=resolve_vmax(config,
+    objective))`` gives the cap a run would use.
     """
     if config.vmax is None:
         raise ConfigError("vmax is unset; set it in the config, e.g. from resolve_vmax")
     guide = np.asarray(guide_position, dtype=float)
-    d = particle.position.shape[0]
-    if guide.shape != (d,):
-        raise ContractError(f"guide has shape {guide.shape}, particle dimension is {d}")
-    return _velocity_rule(particle, guide, stream.next_uniforms(2 * d), config, config.vmax)
+    shape = particle.position.shape
+    if guide.shape != shape:
+        raise ContractError(f"guide has shape {guide.shape}, particle has shape {shape}")
+    if isinstance(config.vmax, np.ndarray) and config.vmax.shape != shape:
+        raise ContractError(f"vmax has shape {config.vmax.shape}, particle has shape {shape}")
+    draws = stream.next_uniforms(2 * shape[0])
+    x, velocity, pbest = particle.position, particle.velocity, particle.pbest_position
+    return _velocity_rule(x, velocity, pbest, guide, draws, config, config.vmax)
 
 
-def _velocity_rule(swarm, guide, draws, config, vmax):
-    """The clamped velocity rule for a :class:`Particle`, or a :class:`SwarmState` row-wise.
+def _velocity_rule(x, velocity, pbest, guide, draws, config, vmax):
+    """The clamped velocity rule for one particle, or row-wise for a swarm.
 
     Along the last axis ``draws`` holds r1 at even and r2 at odd positions.
     """
-    x = swarm.position
     r1, r2 = draws[..., 0::2], draws[..., 1::2]
-    velocity = (
-        swarm.velocity + config.c1 * r1 * (swarm.pbest_position - x) + config.c2 * r2 * (guide - x)
-    )
-    return np.clip(velocity, -vmax, vmax)
+    return _clamped(velocity + config.c1 * r1 * (pbest - x) + config.c2 * r2 * (guide - x), vmax)
+
+
+def _clamped(velocity, vmax):
+    """``np.clip(velocity, -vmax, vmax)`` without its Python wrapper; NaN passes through."""
+    return np.minimum(np.maximum(velocity, -vmax), vmax)
 
 
 def clamp_velocity(velocity: np.ndarray, vmax: Union[float, np.ndarray]) -> np.ndarray:
     """Saturate each component into [-vmax, vmax]."""
     if not np.all(np.asarray(vmax) > 0):
         raise ConfigError("vmax must be strictly positive")
-    return np.clip(velocity, -vmax, vmax)
+    return _clamped(velocity, vmax)
 
 
 def update_position(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
@@ -259,45 +278,53 @@ def _keyed(fitness: np.ndarray) -> np.ndarray:
 def _adopted(prior, position, fitness, keyed):
     """Row-wise, adopt ``position`` where ``keyed`` strictly beats ``prior``'s keyed pbest.
 
-    Returns the improved mask and the new pbest positions, fitnesses and keyed fitnesses."""
+    Returns the improved mask and new arrays of pbest positions, fitnesses and
+    keyed fitnesses; ``prior`` is left as it was.
+    """
     keyed_prior = _keyed(prior.pbest_fitness)
     improved = keyed < keyed_prior
-    return (
-        improved,
-        np.where(improved[..., None], position, prior.pbest_position),
-        np.where(improved, fitness, prior.pbest_fitness),
-        np.where(improved, keyed, keyed_prior),
-    )
+    pbest = np.array(prior.pbest_position)
+    pbest_fitness = np.array(prior.pbest_fitness, dtype=float)
+    np.copyto(pbest, position, where=improved[..., None])
+    np.copyto(pbest_fitness, fitness, where=improved)
+    np.copyto(keyed_prior, keyed, where=improved)
+    return improved, pbest, pbest_fitness, keyed_prior
 
 
-def _evaluated(objective, position, velocity, prior):
-    """The swarm at ``position`` after evaluating each row once, and its keyed pbest fitnesses.
+def _evaluated(objective, position, prior):
+    """Evaluate each row of ``position`` once, in row order, and keep the better pbests.
 
-    Strict improvements on ``prior``'s pbests are kept; with no prior the
-    evaluated rows are the pbests. gbest is the best pbest, lowest index on ties.
+    Strict improvements on ``prior``'s pbests are adopted; with no prior the
+    evaluated rows are the pbests. Returns the pbest positions, fitnesses and
+    keyed fitnesses, and the running count of non-finite evaluations.
     """
-    fitness = np.array([float(objective.evaluate(row)) for row in position])
-    keyed = _keyed(fitness)
-    non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
-    pbest, iteration = position, 0
-    if prior is not None:
-        _, pbest, fitness, keyed = _adopted(prior, position, fitness, keyed)
-        non_finite += prior.non_finite_evals
-        iteration = prior.iteration
-    best = int(np.argmin(keyed))
-    gbest = pbest[best], float(fitness[best])
-    return SwarmState(position, velocity, pbest, fitness, *gbest, iteration, non_finite), keyed
+    evaluate = objective.evaluate
+    fitness = np.array([float(evaluate(row)) for row in position])
+    finite = np.isfinite(fitness)
+    keyed = np.where(finite, fitness, np.inf)
+    non_finite = fitness.size - int(np.count_nonzero(finite))
+    if prior is None:
+        return position, fitness, keyed, non_finite
+    _, pbest, fitness, keyed = _adopted(prior, position, fitness, keyed)
+    return pbest, fitness, keyed, non_finite + prior.non_finite_evals
 
 
-def _guides(state: SwarmState, keyed: np.ndarray, topology: Topology) -> np.ndarray:
+def _guides(pbest, gbest, keyed, topology: Topology) -> np.ndarray:
     """Each row's attractor: gbest, or the best pbest within +/-k ring neighbors."""
     n = keyed.shape[0]
     if isinstance(topology, Global) or 2 * topology.k + 1 >= n:
-        return state.gbest_position  # one row, broadcast against every particle
-    k = topology.k
+        return gbest  # one row, broadcast against every particle
+    rows = _ring_rows(n, topology.k)
+    col = keyed[rows].argmin(axis=1)  # first minimum = lowest index
+    return pbest[rows[np.arange(n), col]]
+
+
+@functools.lru_cache(maxsize=64)
+def _ring_rows(n: int, k: int) -> np.ndarray:
+    """Row i lists the indices within +/-k of i on a ring of n, ascending; read-only."""
     rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
-    col = np.argmin(keyed[rows], axis=1)  # first minimum = lowest index
-    return state.pbest_position[rows[np.arange(n), col]]
+    rows.flags.writeable = False
+    return rows
 
 
 def step(
@@ -311,20 +338,27 @@ def step(
     Phases in order: (1) evaluate all particles at their current positions
     and update pbests, (2) refresh gbest from the new pbests, (3) update
     each velocity against its guide and apply the position step. Exactly
-    swarm_size objective evaluations are performed. The arithmetic is
-    vectorized across the swarm but matches the per-particle operations
-    bit for bit.
+    swarm_size objective evaluations are performed, one per row in index
+    order, and each stream gives one ``next_uniforms(2 * dimension)``, in
+    index order. The arithmetic is vectorized across the swarm but matches
+    the per-particle operations bit for bit.
     """
     n = len(state.pbest_fitness)
     if len(streams) != n:
         raise ContractError(f"need {n} per-particle streams, got {len(streams)}")
-    evaluated, keyed = _evaluated(objective, state.position, state.velocity, prior=state)
-    guides = _guides(evaluated, keyed, config.topology)
-    draws = np.stack([stream.next_uniforms(2 * objective.dimension) for stream in streams])
-    velocity = _velocity_rule(evaluated, guides, draws, config, resolve_vmax(config, objective))
-    position = update_position(state.position, velocity)
-    return dataclasses.replace(
-        evaluated, position=position, velocity=velocity, iteration=state.iteration + 1
+    pbest, fitness, keyed, non_finite = _evaluated(objective, state.position, prior=state)
+    best = keyed.argmin()  # first minimum = lowest index
+    gbest = pbest[best]
+    guides = _guides(pbest, gbest, keyed, config.topology)
+    m = 2 * objective.dimension
+    draws = np.concatenate([stream.next_uniforms(m) for stream in streams]).reshape(n, m)
+    x = state.position
+    vmax = resolve_vmax(config, objective)
+    velocity = _velocity_rule(x, state.velocity, pbest, guides, draws, config, vmax)
+    position = update_position(x, velocity)
+    gbest_fitness = float(fitness[best])
+    return SwarmState(
+        position, velocity, pbest, fitness, gbest, gbest_fitness, state.iteration + 1, non_finite
     )
 
 

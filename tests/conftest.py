@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from swarmkit import TspInstance
 
@@ -46,6 +48,16 @@ class ForcedStream:
     @property
     def remaining(self) -> int:
         return len(self._values)
+
+
+# Floats where two numpy forms of the same arithmetic could part ways.
+SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+def assert_same_bits(a, b):
+    """Equal values, NaN equal to NaN, and the same sign on every zero."""
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 UNIT_SQUARE_COORDS = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]])

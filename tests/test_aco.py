@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import aco_reference
 from conftest import ForcedStream
+from swarmkit import aco
 from swarmkit import (
     AcoConfig,
     ConfigError,
@@ -261,6 +262,43 @@ class TestTransitionWeights:
         assert np.array_equal(row, expected)
         assert row.sum() == expected.sum()
         assert (np.diag(table) == 0.0).all()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 40),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.3]) | st.floats(0.0, 400.0),
+        st.sampled_from([0.0, 95.0, -95.0]),
+        st.data(),
+    )
+    def test_probabilities_come_from_the_table_row(self, seed, n, alpha, beta, decade, data):
+        # transition_probabilities weighs row ``current`` alone. It must get
+        # that row of the full table bit for bit, and so the same probabilities
+        # or the same over- or underflow error; distances far from 1 make
+        # tau**alpha * (1/d)**beta overflow or underflow on some rows.
+        rng = np.random.default_rng(seed)
+        graph = DistanceGraph(random_symmetric(rng, n, decade - 2, decade + 2))
+        pheromones = PheromoneMatrix(random_symmetric(rng, n, -12.0, np.log10(5.0)))
+        config = aco_config(alpha=alpha, beta=beta)
+        current = data.draw(st.integers(0, n - 1), label="current")
+        others = [j for j in range(n) if j != current]
+        visited = data.draw(st.lists(st.sampled_from(others), max_size=n - 2, unique=True))
+        free = np.ones(n, dtype=bool)
+        free[[*visited, current]] = False
+
+        table_row = transition_weights(graph, pheromones, config)[current]
+        row = aco._weights(graph, pheromones, config, slice(current, current + 1))[0]
+        assert np.array_equal(row, table_row, equal_nan=True)
+        outcomes = []
+        for compute in (
+            lambda: transition_probabilities(graph, pheromones, current, visited, config),
+            lambda: aco._move(table_row, free, current, config)[1],
+        ):
+            try:
+                outcomes.append(compute().tolist())
+            except ContractError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
     def test_pheromones_for_another_graph_rejected(self, square_graph):
         graph = random_tsp_instance(5, derive_stream(3, 0)).graph

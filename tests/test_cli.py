@@ -357,6 +357,42 @@ GOLDEN_ACO_DIGESTS = {
     },
 }
 
+# sha256 of every output file of ``swarmkit run`` on PSO configs, summary.json
+# without its wall-clock lines. Sphere and Rosenbrock use only +, -, * and
+# sums, which give the same bits on any CPU; Rastrigin's cos may not. The
+# last config stops both seeds early on target_fitness.
+GOLDEN_PSO_DIGESTS = {
+    "problem=sphere\ndim=4\nswarm_size=6\nmax_iterations=40\nseeds=1..2\n": {
+        "summary.json": "d22e84944a048b306a75041ebe308434f5db340d2dc0f2c4ebfde095c50c8e22",
+        "trace_seed1.csv": "b68ecf77cd7f3c5a50645c11a704e249c309df57bf8350d8dc5ce9bc7d0ba39a",
+        "trace_seed2.csv": "16542bd2be616461e6679286fb0acbb8a10d9ad1aea86dab85ed61747a764a75",
+    },
+    "problem=rosenbrock\ndim=3\nswarm_size=7\nmax_iterations=40\ntopology=ring\nring_k=2\n"
+    "vmax=0.25\nseeds=3,5\n": {
+        "summary.json": "08461195b19155b1693339b3bf9fc65856e67556f5c8a3656ae10b6bc6123d9c",
+        "trace_seed3.csv": "fa777675cfd7af20d9d1271f21d5f2c35d885ae6c55e5ae2ae0beb769c7aecdf",
+        "trace_seed5.csv": "21b676cc8bbb38244f2743347b1037b2219c9bba86eb24c57f790b51a726a102",
+    },
+    "problem=sphere\ndim=2\nswarm_size=5\nmax_iterations=200\ntarget_fitness=0.05\n"
+    "seeds=4,9\n": {
+        "summary.json": "02394f902ca21e2cde9aa663070198985a094bed5ed873f5ea99d20fd48f8a6e",
+        "trace_seed4.csv": "83973220474bd96729fa6c575ea9fb6341a2f96ebcb61523b20699b1c949ec87",
+        "trace_seed9.csv": "ee6bec9d63ecb19892956f89178b5d25fee4fee0f830a53576eacd2d96d16814",
+    },
+}
+
+
+def output_digests(out_dir: Path) -> dict:
+    """sha256 of each file in a run's output directory, wall-clock lines removed."""
+    digests = {}
+    for path in out_dir.iterdir():
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            data = re.sub(rb'\n *"wall_clock_seconds": [^\n]*', b"", data)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -576,13 +612,14 @@ class TestRunExperiment:
             "algorithm=aco\nproblem=cities12.txt\nmax_iterations=15\n" + extra
         )
         assert main(["run", "cfg.txt", "--output", "out"]) == 0
-        digests = {}
-        for path in (tmp_path / "out").iterdir():
-            data = path.read_bytes()
-            if path.name == "summary.json":
-                data = re.sub(rb'\n *"wall_clock_seconds": [^\n]*', b"", data)
-            digests[path.name] = hashlib.sha256(data).hexdigest()
-        assert digests == GOLDEN_ACO_DIGESTS[extra]
+        assert output_digests(tmp_path / "out") == GOLDEN_ACO_DIGESTS[extra]
+
+    @pytest.mark.parametrize("extra", sorted(GOLDEN_PSO_DIGESTS))
+    def test_pso_output_bytes_are_pinned(self, extra, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.txt").write_text("algorithm=pso\n" + extra)
+        assert main(["run", "cfg.txt", "--output", "out"]) == 0
+        assert output_digests(tmp_path / "out") == GOLDEN_PSO_DIGESTS[extra]
 
 
 class TestMain:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import UNIT_SQUARE_TEXT
+from conftest import SPECIAL_FLOATS, UNIT_SQUARE_TEXT, assert_same_bits
 from swarmkit import (
     BENCHMARK_NAMES,
     BRUTE_FORCE_MAX_NODES,
@@ -72,6 +73,44 @@ class TestRosenbrock:
     def test_rejects_single_dimension(self):
         with pytest.raises(ConfigError):
             rosenbrock(np.array([1.0]))
+
+
+class TestReduceParity:
+    """The objectives reduce with ``np.add.reduce(..., axis=None)`` in place of ``np.sum``."""
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.one_of(
+                st.just(()),
+                hnp.array_shapes(min_dims=1, max_dims=1, max_side=300),
+                hnp.array_shapes(min_dims=2, max_dims=2, max_side=20),
+            ),
+            elements=st.floats() | SPECIAL_FLOATS,
+        )
+    )
+    def test_add_reduce_equals_sum(self, v):
+        # Lengths past 128 reach the pairwise split inside numpy's sum loop.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(np.add.reduce(v, axis=None), np.sum(v))
+
+    @given(
+        st.lists(st.floats(-1e3, 1e3) | SPECIAL_FLOATS, min_size=2, max_size=40)
+        # Finite rows of 8 or more reach the unrolled accumulators of numpy's sum loop.
+        | st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=40)
+    )
+    def test_objectives_equal_their_sum_forms(self, values):
+        x = np.array(values)
+        head, tail = x[:-1], x[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(sphere(x), float(np.sum(x * x)))
+            assert_same_bits(
+                rastrigin(x), float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+            )
+            assert_same_bits(
+                rosenbrock(x),
+                float(np.sum(100.0 * (tail - head * head) ** 2 + (1.0 - head) ** 2)),
+            )
 
 
 class TestBenchmark:

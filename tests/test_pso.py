@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pso_rule_reference
-from conftest import ForcedStream
+from conftest import SPECIAL_FLOATS, ForcedStream, assert_same_bits
 from swarmkit import (
     ConfigError,
     ContractError,
@@ -33,6 +34,7 @@ from swarmkit import (
     update_position,
     update_velocity,
 )
+from swarmkit import pso
 from swarmkit.pso import resolve_vmax
 
 
@@ -134,7 +136,11 @@ class TestPsoConfig:
     def test_resolve_vmax_defaults_to_half_range(self):
         spec = sphere_spec(d=3, half_range=5.12)
         config = PsoConfig(swarm_size=3, termination=TerminationCriteria(max_iterations=5))
-        assert np.array_equal(resolve_vmax(config, spec), np.full(3, 5.12))
+        vmax = resolve_vmax(config, spec)
+        assert np.array_equal(vmax, np.full(3, 5.12))
+        # Computed once per objective and shared, so it must not be writable.
+        assert resolve_vmax(config, spec) is vmax
+        assert not vmax.flags.writeable
 
     def test_resolve_vmax_rejects_dimension_mismatch(self):
         spec = sphere_spec(d=3)
@@ -210,6 +216,32 @@ class TestSelectGuide:
                 select_guide(state, i, Ring(k=2)), select_guide(state, i, Global())
             )
 
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.integers(1, n - 1),
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf]), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_ring_guides_equal_the_sorted_index_construction(self, case):
+        # The neighbour table is cached per (n, k); rebuilding it with
+        # np.sort on every call must give the same guides, ties included.
+        k, keyed = case
+        keyed = np.array(keyed)
+        n = keyed.size
+        pbest = np.arange(2.0 * n).reshape(n, 2)
+        gbest = pbest[keyed.argmin()]
+        guides = pso._guides(pbest, gbest, keyed, Ring(k))
+        if 2 * k + 1 >= n:
+            assert guides is gbest
+            return
+        rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
+        expected = pbest[rows[np.arange(n), np.argmin(keyed[rows], axis=1)]]
+        assert np.array_equal(guides, expected)
+        assert np.array_equal(pso._ring_rows(n, k), rows)
+        assert not pso._ring_rows(n, k).flags.writeable
+
     def test_out_of_range_index_rejected(self):
         state = state_from_pbest_fitnesses([1.0, 2.0])
         with pytest.raises(ContractError):
@@ -274,6 +306,15 @@ class TestUpdateVelocity:
         with pytest.raises(ConfigError, match="resolve_vmax"):
             update_velocity(particle, np.array([0.0]), self._config(), ForcedStream([0.5, 0.5]))
 
+    @pytest.mark.parametrize("vmax", [[1.0, 1.0, 1.0], [1.0]])
+    def test_vmax_dimension_mismatch_rejected(self, vmax):
+        # Length 3 used to fail in numpy's broadcast and length 1 to broadcast silently.
+        particle = make_particle([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.0)
+        config = self._config(vmax=np.array(vmax))
+        message = rf"vmax has shape \({len(vmax)},\), particle has shape \(2,\)"
+        with pytest.raises(ContractError, match=message):
+            update_velocity(particle, np.zeros(2), config, ForcedStream([0.5] * 4))
+
     def test_guide_dimension_mismatch_rejected(self):
         particle = make_particle([0.0], [0.0], [0.0], 0.0)
         with pytest.raises(ContractError):
@@ -301,6 +342,23 @@ class TestClampVelocity:
             clamp_velocity(np.array([1.0]), 0.0)
         with pytest.raises(ConfigError):
             clamp_velocity(np.array([1.0]), np.array([1.0, -2.0]))
+
+    @given(
+        st.data(),
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+            elements=st.floats() | SPECIAL_FLOATS,
+        ),
+        st.booleans(),
+    )
+    def test_equals_np_clip(self, data, velocity, per_dimension):
+        # NaN passes through; +-inf saturate; -0.0 and 0.0 keep their signs.
+        positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
+        vmax = data.draw(positive)
+        if per_dimension:
+            vmax = data.draw(hnp.arrays(np.float64, velocity.shape[-1], elements=positive))
+        assert_same_bits(clamp_velocity(velocity, vmax), np.clip(velocity, -vmax, vmax))
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
@@ -486,7 +544,7 @@ class TestStep:
             topology=topology,
         )
         # Rows past the cut evaluate to NaN or an infinity, so non-finite
-        # pbests occur in both implementations.
+        # pbests occur in both implementations, and later steps adopt over them.
         cut = data.draw(st.floats(-1.0, 1.0), label="cut")
         bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
         spec = ObjectiveSpec(
@@ -500,7 +558,7 @@ class TestStep:
         vec_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
         man_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
         vec_state, man_state = state, state
-        for _ in range(3):
+        for _ in range(6):
             vec_state = step(vec_state, spec, config, vec_streams)
             man_state = manual_step(man_state, spec, config, man_streams)
             assert_states_identical(vec_state, man_state)

@@ -22,7 +22,7 @@ a run is a pure function of (objective, config, seed).
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -148,20 +148,12 @@ class SwarmState:
 def resolve_vmax(config: PsoConfig, objective: ObjectiveSpec) -> Union[float, np.ndarray]:
     """The effective velocity cap: configured, or half the range per dimension."""
     if config.vmax is None:
-        return _half_range(objective)
+        return 0.5 * (objective.upper_bound - objective.lower_bound)
     if isinstance(config.vmax, np.ndarray) and config.vmax.shape != (objective.dimension,):
         raise ConfigError(
             f"vmax has shape {config.vmax.shape}, objective dimension is {objective.dimension}"
         )
     return config.vmax
-
-
-@functools.lru_cache(maxsize=16)
-def _half_range(objective: ObjectiveSpec) -> np.ndarray:
-    """The default cap of ``objective`` (frozen, hashed by identity), read-only."""
-    cap = 0.5 * (objective.upper_bound - objective.lower_bound)
-    cap.flags.writeable = False
-    return cap
 
 
 def initialize_swarm(
@@ -283,7 +275,7 @@ def _adopted(prior, position, fitness, keyed):
     """
     keyed_prior = _keyed(prior.pbest_fitness)
     improved = keyed < keyed_prior
-    pbest = np.array(prior.pbest_position)
+    pbest = np.array(prior.pbest_position, dtype=float)
     pbest_fitness = np.array(prior.pbest_fitness, dtype=float)
     np.copyto(pbest, position, where=improved[..., None])
     np.copyto(pbest_fitness, fitness, where=improved)
@@ -300,9 +292,8 @@ def _evaluated(objective, position, prior):
     """
     evaluate = objective.evaluate
     fitness = np.array([float(evaluate(row)) for row in position])
-    finite = np.isfinite(fitness)
-    keyed = np.where(finite, fitness, np.inf)
-    non_finite = fitness.size - int(np.count_nonzero(finite))
+    keyed = _keyed(fitness)
+    non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
     if prior is None:
         return position, fitness, keyed, non_finite
     _, pbest, fitness, keyed = _adopted(prior, position, fitness, keyed)
@@ -314,17 +305,10 @@ def _guides(pbest, gbest, keyed, topology: Topology) -> np.ndarray:
     n = keyed.shape[0]
     if isinstance(topology, Global) or 2 * topology.k + 1 >= n:
         return gbest  # one row, broadcast against every particle
-    rows = _ring_rows(n, topology.k)
-    col = keyed[rows].argmin(axis=1)  # first minimum = lowest index
-    return pbest[rows[np.arange(n), col]]
-
-
-@functools.lru_cache(maxsize=64)
-def _ring_rows(n: int, k: int) -> np.ndarray:
-    """Row i lists the indices within +/-k of i on a ring of n, ascending; read-only."""
+    k = topology.k
     rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
-    rows.flags.writeable = False
-    return rows
+    col = np.argmin(keyed[rows], axis=1)  # first minimum = lowest index
+    return pbest[rows[np.arange(n), col]]
 
 
 def step(
@@ -373,6 +357,8 @@ def optimize(
     ``on_iteration`` is invoked with each freshly recorded trace entry,
     which lets callers stream progress to disk.
     """
+    # Resolved once per run, so each step's resolve_vmax returns config.vmax.
+    config = dataclasses.replace(config, vmax=resolve_vmax(config, objective))
     state = initialize_swarm(objective, config, derive_stream(seed, 0))
     streams = [derive_stream(seed, 1 + k) for k in range(config.swarm_size)]
     evaluations = config.swarm_size

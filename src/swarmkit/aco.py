@@ -188,7 +188,8 @@ def transition_probabilities(
     if not free.any():
         raise ContractError("no unvisited nodes to move to")
     row = _weights(graph, pheromones, config, slice(current, current + 1))[0]
-    return _move(row, free, current, config)[1]
+    with np.errstate(over="ignore"):
+        return _move(row, free, current, config)[1]
 
 
 def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):
@@ -196,6 +197,7 @@ def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):
     candidates = free.nonzero()[0]
     weights = row.take(candidates)
     # np.add.reduce is what ndarray.sum runs for a 1-D float64 row, minus the wrapper.
+    # Finite weights may sum to inf; callers hold np.errstate(over="ignore") once per call.
     total = np.add.reduce(weights)
     if not 0.0 < total < np.inf:
         raise ContractError(
@@ -230,14 +232,15 @@ def construct_tour(
     free[start] = False
     order = np.empty(n, dtype=np.intp)
     order[0] = current = start
-    for step in range(1, n):
-        remaining, probs = _move(weights[current], free, current, config)
-        u = stream.next_uniform()
-        idx = int(probs.cumsum().searchsorted(u, "right"))
-        # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
-        current = remaining[min(idx, n - 1 - step)]
-        free[current] = False
-        order[step] = current
+    with np.errstate(over="ignore"):
+        for step in range(1, n):
+            remaining, probs = _move(weights[current], free, current, config)
+            u = stream.next_uniform()
+            idx = int(probs.cumsum().searchsorted(u, "right"))
+            # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
+            current = remaining[min(idx, n - 1 - step)]
+            free[current] = False
+            order[step] = current
     return Tour(order=tuple(order.tolist()), length=tour_length(graph, order))
 
 

@@ -1,9 +1,12 @@
 """Experiment harness: config parsing, multi-seed runs, traces, summaries.
 
 Config files are flat ``key=value`` lines with ``#`` comments. Every run
-writes one ``trace_seed<SEED>.csv`` per seed (streamed row by row, then
-atomically renamed into place) plus one ``summary.json``. Identical
-configs produce byte-identical trace files regardless of worker count.
+writes one ``trace_seed<SEED>.csv`` per seed plus one ``summary.json``. A
+trace is ``TRACE_HEADER`` then one :func:`_trace_row` per iteration, in
+order and LF-terminated, streamed as the run goes and atomically renamed
+into place; fitnesses are written with ``repr``, so ``float()`` of the
+column restores the exact bits. Identical configs produce byte-identical
+trace files regardless of worker count.
 ``validate`` runs ``run``'s checks up to the first seed, through the same
 problem loader that ``run`` calls once per experiment.
 """
@@ -29,7 +32,6 @@ from .core import (
     RNG_ALGORITHM,
     ConfigError,
     ContractError,
-    RunTrace,
     TerminationCriteria,
     TraceEntry,
 )
@@ -205,7 +207,12 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
-        benchmark(problem, dim)  # fails as run would on an unknown name or too small a dim
+        try:
+            benchmark(problem, dim)  # fails as run would on an unknown name or too small a dim
+        except ConfigError:
+            raise
+        except ValueError as exc:  # numpy cannot size the bounds arrays
+            raise ConfigError(f"dim {dim} is too large: {exc}") from None
         topologies = {"global": Global(), "ring": Ring(ring_k)}
         if topology not in topologies:
             raise ConfigError(f"topology must be global or ring, got {topology!r}")
@@ -253,30 +260,6 @@ def _problem(config: ExperimentConfig):
 
 def _trace_row(entry: TraceEntry) -> str:
     return f"{entry.iteration},{entry.best_fitness!r},{entry.evaluations}"
-
-
-def emit_trace_csv(trace: RunTrace) -> str:
-    """Plot-ready CSV; floats use round-trip-exact repr, rows in order."""
-    lines = [TRACE_HEADER]
-    lines.extend(_trace_row(entry) for entry in trace.entries)
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace_csv(text: str, seed: int = 0) -> RunTrace:
-    """Inverse of :func:`emit_trace_csv` (the seed lives in the filename)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ConfigError(f"trace must start with header {TRACE_HEADER!r}")
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"line {lineno}: expected 3 columns, got {line!r}")
-        try:
-            entries.append(TraceEntry(int(parts[0]), float(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ConfigError(f"line {lineno}: malformed trace row {line!r}") from None
-    return RunTrace(seed=seed, entries=tuple(entries))
 
 
 @contextlib.contextmanager

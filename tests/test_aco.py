@@ -19,6 +19,7 @@ from swarmkit import (
     PheromoneMatrix,
     TerminationCriteria,
     Tour,
+    TraceEntry,
     TspInstance,
     construct_tour,
     deposit,
@@ -141,6 +142,12 @@ class TestInitializePheromones:
 
 
 class TestTransitionProbabilities:
+    def test_overflowing_weight_sum_is_a_contract_error(self, square_graph):
+        config = overflowing_sum_config()
+        pheromones = initialize_pheromones(square_graph, config)
+        with pytest.raises(ContractError, match="transition weights from node 0 sum to inf"):
+            transition_probabilities(square_graph, pheromones, 0, set(), config)
+
     def test_uniform_tau_and_distance_gives_uniform_probabilities(self):
         d = np.ones((4, 4)) - np.eye(4)
         graph = DistanceGraph(d)
@@ -311,7 +318,23 @@ class TestTransitionWeights:
                 call()
 
 
+def overflowing_sum_config():
+    """tau0 near the float maximum: on the unit square each weight from node 0 is
+    finite, but the three of them sum past the float range."""
+    return aco_config(tau0=1e308)
+
+
 class TestConstructTour:
+    def test_overflowing_weight_sum_is_a_contract_error(self, square_graph):
+        # pytest turns RuntimeWarning into an error, so a numpy overflow warning
+        # from the sum would surface here instead of the ContractError.
+        config = overflowing_sum_config()
+        pheromones = initialize_pheromones(square_graph, config)
+        weights = transition_weights(square_graph, pheromones, config)
+        assert np.isfinite(weights).all()
+        with pytest.raises(ContractError, match="transition weights from node 0 sum to inf"):
+            construct_tour(square_graph, weights, config, derive_stream(0, 1), start=0)
+
     def test_output_is_a_permutation(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
         weights = transition_weights(square_graph, pheromones, aco_config())
@@ -798,3 +821,64 @@ class TestReferenceParity:
             assert tour.length == aco_reference.tour_length(graph, tour.order)
         after = deposit(pheromones, tours, config)
         assert np.array_equal(after.tau, aco_reference.deposit(pheromones.tau, tours, config.q))
+
+
+def reference_colony(graph, config, seed):
+    """``optimize_aco`` as a straight loop over the list pieces in ``aco_reference``.
+
+    The weight table and the evaporation are written out here, so no engine
+    body is shared. Runs the full iteration budget (no target) and returns
+    the best tour and the trace entries.
+    """
+    n = graph.n
+    num_ants = config.num_ants if config.num_ants is not None else n
+    streams = [derive_stream(seed, 1 + k) for k in range(num_ants)]
+    tau = np.full((n, n), config.tau0)
+    np.fill_diagonal(tau, 0.0)
+    best, entries = None, []
+    for iteration in range(config.termination.max_iterations):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, zeroed below
+            weights = tau**config.alpha * (1.0 / graph.distance) ** config.beta
+        np.fill_diagonal(weights, 0.0)
+        tours = [
+            aco_reference.construct_tour(graph, weights, config, streams[k], k % n)
+            for k in range(num_ants)
+        ]
+        for tour in tours:
+            if best is None or tour.length < best.length:
+                best = tour
+        tau = np.maximum((1.0 - config.rho) * tau, config.tau_floor)
+        np.fill_diagonal(tau, 0.0)
+        tau = aco_reference.deposit(tau, tours, config.q)
+        entries.append(TraceEntry(iteration, best.length, num_ants * (iteration + 1)))
+    return best, entries
+
+
+class TestWholeRunReference:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 12),
+        st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+        st.sampled_from([0.0, 1.0, 2.0, 3.3]),
+        st.sampled_from([0.3, 1.0]),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_optimize_aco_matches_the_straight_loop(
+        self, seed, n, alpha, beta, rho, iterations, data
+    ):
+        # rho=1 leaves every edge at tau_floor before the deposit. Tour
+        # lengths are positive and finite, so == on them compares the bits.
+        num_ants = data.draw(st.one_of(st.none(), st.integers(1, 2 * n)), label="num_ants")
+        graph = random_tsp_instance(n, derive_stream(seed, 0)).graph
+        config = aco_config(
+            termination=TerminationCriteria(max_iterations=iterations),
+            num_ants=num_ants,
+            alpha=alpha,
+            beta=beta,
+            rho=rho,
+        )
+        best, trace = optimize_aco(graph, config, seed)
+        ref_best, ref_entries = reference_colony(graph, config, seed)
+        assert best == ref_best
+        assert list(trace.entries) == ref_entries

@@ -2,18 +2,17 @@
 
 import hashlib
 import json
-import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import UNIT_SQUARE_TEXT
@@ -24,20 +23,17 @@ from swarmkit import (
     Global,
     PsoConfig,
     Ring,
-    RunTrace,
     TerminationCriteria,
     TraceEntry,
     aggregate_bests,
     benchmark,
     derive_stream,
     emit_summary,
-    emit_trace_csv,
     load_tsp_instance,
     main,
     optimize,
     optimize_aco,
     parse_config,
-    parse_trace_csv,
     random_tsp_instance,
     run_experiment,
     serialize_tsp_instance,
@@ -206,56 +202,81 @@ class TestParseConfig:
         assert config.output == "mydir"
 
 
+def read_trace(path) -> list:
+    """The entries of a trace file the CLI wrote, each column parsed back exactly."""
+    header, *rows = Path(path).read_text().splitlines()
+    assert header == cli.TRACE_HEADER
+    return [TraceEntry(int(i), float(v), int(n)) for i, v, n in (row.split(",") for row in rows)]
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
 class TestTraceCsv:
     def test_format_example(self):
-        trace = RunTrace(seed=0, entries=(TraceEntry(0, 3.5, 10),))
-        assert emit_trace_csv(trace) == "iteration,best_fitness,evaluations\n0,3.5,10\n"
+        assert cli.TRACE_HEADER == "iteration,best_fitness,evaluations"
+        assert cli._trace_row(TraceEntry(0, 3.5, 10)) == "0,3.5,10"
 
-    def test_rows_in_iteration_order_with_lf_newlines(self):
-        entries = tuple(TraceEntry(i, 5.0 - i, 10 * (i + 1)) for i in range(4))
-        text = emit_trace_csv(RunTrace(seed=1, entries=entries))
-        assert "\r" not in text
-        lines = text.splitlines()
+    def test_rows_in_iteration_order_with_lf_newlines(self, tmp_path):
+        run_experiment(parse_config(small_pso_text(seeds="1")), output_dir=str(tmp_path))
+        data = (tmp_path / "trace_seed1.csv").read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        lines = data.decode().splitlines()
         assert lines[0] == "iteration,best_fitness,evaluations"
-        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2, 3]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(10))
 
-    def test_round_trip_identity(self):
-        entries = (TraceEntry(0, 3.5, 10), TraceEntry(1, 0.1, 20), TraceEntry(2, 1e-17, 30))
-        trace = RunTrace(seed=9, entries=entries)
-        assert parse_trace_csv(emit_trace_csv(trace), seed=9) == trace
+    def test_round_trip_identity(self, tmp_path):
+        entries = [TraceEntry(0, 3.5, 10), TraceEntry(1, 0.1, 20), TraceEntry(2, 1e-17, 30)]
+        path = tmp_path / "trace.csv"
+        rows = [cli.TRACE_HEADER, *map(cli._trace_row, entries)]
+        path.write_text("".join(f"{row}\n" for row in rows))
+        assert read_trace(path) == entries
 
     @given(
-        st.lists(
-            st.floats(allow_nan=False, allow_infinity=False, width=64),
-            min_size=1,
-            max_size=30,
-        )
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.integers(0, 10**6),
+        st.integers(0, 10**9),
     )
-    def test_round_trip_preserves_any_finite_float(self, values):
-        entries = tuple(TraceEntry(i, v, i * 3) for i, v in enumerate(values))
-        trace = RunTrace(seed=0, entries=entries)
-        assert parse_trace_csv(emit_trace_csv(trace)) == trace
+    @example(-0.0, 0, 0)
+    @example(5e-324, 1, 2)  # the smallest subnormal
+    @example(-2.2250738585072009e-308, 3, 4)  # the largest negative subnormal
+    def test_round_trip_preserves_any_finite_float(self, value, iteration, evaluations):
+        columns = cli._trace_row(TraceEntry(iteration, value, evaluations)).split(",")
+        assert bits(float(columns[1])) == bits(value)
+        assert (int(columns[0]), int(columns[2])) == (iteration, evaluations)
 
-    def test_parse_rejects_bad_header(self):
-        with pytest.raises(ConfigError, match="header"):
-            parse_trace_csv("iteration,fitness\n0,1.0\n")
-
-    def test_parse_rejects_bad_row(self):
-        with pytest.raises(ConfigError, match="line 2: expected 3 columns"):
-            parse_trace_csv("iteration,best_fitness,evaluations\n0,1.0\n")
-        for row in ("1,abc,20", "x,1.0,20", "1,1.0,2.5"):
-            with pytest.raises(ConfigError, match=f"line 3: malformed trace row '{row}'"):
-                parse_trace_csv(f"iteration,best_fitness,evaluations\n0,2.0,10\n{row}\n")
+    def assert_rows_are_the_trace(self, path, trace):
+        rows = Path(path).read_text().splitlines()
+        assert rows == [cli.TRACE_HEADER, *map(cli._trace_row, trace.entries)]
 
     def test_trace_matches_direct_emission(self, tmp_path):
-        # The streamed file written by the harness must equal the in-memory
-        # emission of the same run's trace.
+        # The streamed file written by the harness must hold one row per
+        # entry of the same run's in-memory trace.
         config = parse_config(small_pso_text(seeds="4"))
         run_experiment(config, output_dir=str(tmp_path))
         bench = benchmark("sphere", 3)
         pso = PsoConfig(swarm_size=5, termination=TerminationCriteria(max_iterations=10))
         _, _, trace = optimize(bench.spec, pso, seed=4)
-        assert (tmp_path / "trace_seed4.csv").read_text() == emit_trace_csv(trace)
+        self.assert_rows_are_the_trace(tmp_path / "trace_seed4.csv", trace)
+
+    def test_early_stopped_trace_matches_direct_emission(self, tmp_path):
+        config = parse_config(small_pso_text(seeds="4", extra="target_fitness=5\n"))
+        run_experiment(config, output_dir=str(tmp_path))
+        termination = TerminationCriteria(max_iterations=10, target_fitness=5.0)
+        pso = PsoConfig(swarm_size=5, termination=termination)
+        _, _, trace = optimize(benchmark("sphere", 3).spec, pso, seed=4)
+        assert len(trace.entries) < 10
+        self.assert_rows_are_the_trace(tmp_path / "trace_seed4.csv", trace)
+
+    def test_aco_trace_matches_direct_emission(self, tmp_path):
+        instance_file = tmp_path / "square.txt"
+        instance_file.write_text(UNIT_SQUARE_TEXT)
+        config = parse_config(small_aco_text(str(instance_file)))
+        run_experiment(config, output_dir=str(tmp_path / "out"))
+        aco = AcoConfig(termination=TerminationCriteria(max_iterations=10), num_ants=4)
+        _, trace = optimize_aco(load_tsp_instance(UNIT_SQUARE_TEXT).graph, aco, seed=2)
+        self.assert_rows_are_the_trace(tmp_path / "out" / "trace_seed2.csv", trace)
 
 
 class TestSummary:
@@ -541,8 +562,8 @@ class TestRunExperiment:
         text = small_pso_text() if algorithm == "pso" else small_aco_text(str(instance_file))
         summary = run_experiment(parse_config(text), output_dir=str(tmp_path / "out"))
         for record in summary.per_seed:
-            trace_text = (tmp_path / "out" / f"trace_seed{record['seed']}.csv").read_text()
-            assert repr(record["best_fitness"]) == repr(parse_trace_csv(trace_text).best_fitness)
+            trace_path = tmp_path / "out" / f"trace_seed{record['seed']}.csv"
+            assert repr(record["best_fitness"]) == repr(read_trace(trace_path)[-1].best_fitness)
 
     def test_summaries_identical_modulo_wall_clock(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1..2"))
@@ -561,11 +582,11 @@ class TestRunExperiment:
         summary = run_experiment(config, output_dir=str(tmp_path / "out"))
         assert summary.algorithm == "aco"
         assert all(r["evaluations"] == 4 * 10 for r in summary.per_seed)
-        trace = parse_trace_csv((tmp_path / "out" / "trace_seed1.csv").read_text(), seed=1)
+        entries = read_trace(tmp_path / "out" / "trace_seed1.csv")
         instance = load_tsp_instance(UNIT_SQUARE_TEXT)
         aco = AcoConfig(termination=TerminationCriteria(max_iterations=10), num_ants=4)
         _, direct = optimize_aco(instance.graph, aco, seed=1)
-        assert trace == RunTrace(seed=1, entries=direct.entries)
+        assert entries == list(direct.entries)
 
     def test_config_output_key_sets_default_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -598,9 +619,9 @@ class TestRunExperiment:
     def test_target_fitness_truncates_traces(self, tmp_path):
         config = parse_config(small_pso_text(extra="target_fitness=100\n"))
         summary = run_experiment(config, output_dir=str(tmp_path))
-        trace = parse_trace_csv((tmp_path / "trace_seed1.csv").read_text(), seed=1)
-        assert len(trace.entries) < 10
-        assert trace.best_fitness <= 100.0
+        entries = read_trace(tmp_path / "trace_seed1.csv")
+        assert len(entries) < 10
+        assert entries[-1].best_fitness <= 100.0
         assert summary.per_seed[0]["best_fitness"] <= 100.0
 
     @pytest.mark.parametrize("extra", sorted(GOLDEN_ACO_DIGESTS))
@@ -797,6 +818,35 @@ class TestMain:
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", "error: rosenbrock needs dimension >= 2, got 1\n")
+
+    def test_overflowing_weight_sum_reports_one_line(self, tmp_path):
+        # Every weight is finite and only their sum overflows. pytest turns
+        # RuntimeWarning into an error, so run the CLI where numpy's warning
+        # would reach stderr as it does for a user.
+        (tmp_path / "square.txt").write_text(UNIT_SQUARE_TEXT)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text("square.txt", "tau0=1e308\n"))
+        result = subprocess.run(
+            [sys.executable, "-m", "swarmkit", "run", str(cfg), "--output", "out"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: transition weights from node 0 sum to inf")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("dim", ["10000000000000000000000", str(2**63 - 1)])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_huge_dim_reports_one_line(self, command, dim, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text().replace("dim=3", f"dim={dim}"))
+        argv = [command, str(cfg), *(["--output", str(tmp_path)] if command == "run" else [])]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: dim {dim} is too large")
+        assert err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize("command", ["validate", "brute-force"])

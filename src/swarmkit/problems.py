@@ -56,13 +56,13 @@ class BenchmarkFunction:
 def _make_benchmark(name, fn, half_range, optimum_at, dimension, min_dim=1):
     if dimension < min_dim:
         raise ConfigError(f"{name} needs dimension >= {min_dim}, got {dimension}")
-    spec = ObjectiveSpec(
-        dimension=dimension,
-        lower_bound=np.full(dimension, -half_range),
-        upper_bound=np.full(dimension, half_range),
-        evaluate=fn,
-    )
-    return BenchmarkFunction(name=name, spec=spec, known_optimum=(optimum_at(dimension), 0.0))
+    try:
+        lower, upper = np.full(dimension, -half_range), np.full(dimension, half_range)
+        optimum = optimum_at(dimension)
+    except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate the arrays
+        raise ConfigError(f"dim {dimension} is too large: {exc}") from None
+    spec = ObjectiveSpec(dimension=dimension, lower_bound=lower, upper_bound=upper, evaluate=fn)
+    return BenchmarkFunction(name=name, spec=spec, known_optimum=(optimum, 0.0))
 
 
 _BENCHMARK_BUILDERS = {
@@ -75,7 +75,11 @@ BENCHMARK_NAMES = tuple(sorted(_BENCHMARK_BUILDERS))
 
 
 def benchmark(name: str, dimension: int) -> BenchmarkFunction:
-    """Look up a benchmark by name at the given dimension."""
+    """Look up a benchmark by name at the given dimension.
+
+    An unknown name, too small a dimension, or one whose bounds numpy cannot
+    size or allocate raises :class:`ConfigError`.
+    """
     try:
         builder = _BENCHMARK_BUILDERS[name]
     except KeyError:

@@ -536,9 +536,34 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         run_experiment(parse_config(small_pso_text(seeds=seeds)), str(tmp_path), workers=workers)
         assert sizes == [started]
+
+    def test_import_and_one_worker_run_load_no_process_pool(self, tmp_path):
+        # Runs in a fresh interpreter: this process has loaded all of them already.
+        # Writing the summary loads statistics (and with it decimal) and json,
+        # so only the import is checked for those.
+        script = """
+import sys
+import swarmkit
+heavy = ["concurrent.futures", "multiprocessing", "argparse", "logging"]
+print(*[m for m in [*heavy, "statistics", "decimal", "json"] if m in sys.modules])
+config = swarmkit.parse_config(open(sys.argv[1]).read())
+swarmkit.run_experiment(config, output_dir=sys.argv[2], workers=1)
+print(*[m for m in heavy if m in sys.modules])
+"""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text())
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(README.parent / "src")),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (result.returncode, result.stdout) == (0, "\n\n"), result.stderr
+        assert (tmp_path / "out" / "summary.json").is_file()
 
     def test_aco_instance_is_read_once_per_run(self, tmp_path, monkeypatch):
         instance_file = tmp_path / "square.txt"
@@ -716,7 +741,7 @@ class TestMain:
             def map(self, fn, *iterables):
                 raise BrokenProcessPool("a worker process died")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", BrokenPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_pso_text(seeds="1..2"))
         assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "2"]) == 1
@@ -748,7 +773,7 @@ class TestMain:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_aco_text(str(tmp_path / "nowhere.txt")))
         argv = ["run", str(cfg), "--output", str(tmp_path / "out"), "--workers", "2"]
@@ -837,7 +862,8 @@ class TestMain:
         assert result.stderr.startswith("error: transition weights from node 0 sum to inf")
         assert result.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("dim", ["10000000000000000000000", str(2**63 - 1)])
+    # numpy cannot size the first two; it refuses to allocate the third (728 TiB) at once.
+    @pytest.mark.parametrize("dim", ["10000000000000000000000", str(2**63 - 1), "100000000000000"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_huge_dim_reports_one_line(self, command, dim, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

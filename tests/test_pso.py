@@ -6,10 +6,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import engine_reference
 import pso_rule_reference
 from conftest import SPECIAL_FLOATS, ForcedStream, assert_same_bits
 from swarmkit import (
@@ -789,3 +790,62 @@ class TestRandomizedInvariants:
                     (np.abs(p.velocity) <= config.vmax).all() for p in state.particles
                 )
                 assert state.gbest_fitness == min(p.pbest_fitness for p in state.particles)
+
+
+def patchy_spec(d, patch, cut, grain):
+    """Sphere on [-2, 2]^d, floored to a multiple of ``grain`` when it is set,
+    that returns ``patch`` wherever ``x[0] > cut``."""
+
+    def evaluate(x):
+        if x[0] > cut:
+            return patch
+        value = float(np.sum(x * x))
+        return grain * math.floor(value / grain) if grain else value
+
+    return ObjectiveSpec(d, np.full(d, -2.0), np.full(d, 2.0), evaluate)
+
+
+class TestWholeRunReference:
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 8),
+        st.integers(1, 30),
+        st.sampled_from([0.0, 0.7, 2.0]),
+        st.sampled_from([0.0, 1.3, 2.0]),
+        st.data(),
+    )
+    def test_optimize_matches_the_straight_loop(self, seed, d, swarm, budget, c1, c2, data):
+        # A finite patch or a grain makes plateaus of tied fitnesses, which
+        # pick guides by index and which a target of 1.0 can meet exactly.
+        # cut=2 leaves the box unpatched, cut=-2 patches all of it.
+        patch = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 1.0]), label="patch")
+        cut = data.draw(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.3, -2.0]), label="cut")
+        grain = data.draw(st.sampled_from([0.0, 0.5]), label="grain")
+        topology = Global()
+        if swarm > 1 and data.draw(st.booleans(), label="ring"):
+            topology = Ring(data.draw(st.integers(1, (swarm - 1) // 2 or 1), label="ring_k"))
+        vmax = data.draw(
+            st.one_of(st.none(), st.just(0.4), hnp.arrays(float, d, elements=st.floats(0.1, 3.0))),
+            label="vmax",
+        )
+        target = data.draw(st.sampled_from([None, 0.05, 1.0, 2.0]), label="target_fitness")
+        config = PsoConfig(
+            swarm_size=swarm,
+            termination=TerminationCriteria(max_iterations=budget, target_fitness=target),
+            c1=c1,
+            c2=c2,
+            vmax=vmax,
+            topology=topology,
+        )
+        spec = patchy_spec(d, patch, cut, grain)
+        best, best_fitness, trace = optimize(spec, config, seed)
+        ref_best, ref_fitness, ref_trace = engine_reference.optimize(spec, config, seed)
+        assert_same_bits(best, ref_best)
+        assert_same_bits(best_fitness, ref_fitness)
+        assert [e[::2] for e in trace.entries] == [e[::2] for e in ref_trace.entries]
+        assert_same_bits(
+            [e.best_fitness for e in trace.entries], [e.best_fitness for e in ref_trace.entries]
+        )
+        assert trace.non_finite_evals == ref_trace.non_finite_evals

@@ -67,7 +67,7 @@ class DistanceGraph:
 
 @dataclass(frozen=True, eq=False)
 class PheromoneMatrix:
-    """Edge pheromone levels; symmetric, zero diagonal."""
+    """Edge pheromone levels; symmetric. The diagonal is ignored: every self-move weighs zero."""
 
     tau: np.ndarray
 

@@ -109,6 +109,10 @@ class ObjectiveSpec:
             raise ConfigError("bounds must be finite")
         if not (lower < upper).all():
             raise ConfigError("lower_bound must be strictly below upper_bound in every dimension")
+        with np.errstate(over="ignore"):
+            span = upper - lower
+        if not np.isfinite(span).all():
+            raise ConfigError("bounds are too far apart: upper_bound - lower_bound overflows")
         lower.flags.writeable = False
         upper.flags.writeable = False
         object.__setattr__(self, "lower_bound", lower)

@@ -13,7 +13,8 @@ constriction factor; vmax alone bounds the dynamics. Positions are never
 clamped to the search box.
 
 The swarm state is row-per-particle arrays. ``step`` runs each rule's one
-body on all rows at once; the public rule functions run it on one particle.
+body on all rows at once; ``update_velocity`` and ``update_position`` run
+the same bodies on one particle.
 
 Each particle owns the derived stream ``(seed, 1 + index)``; stream id 0
 seeds initialization. That layout is part of the reproducibility contract:
@@ -109,6 +110,10 @@ class PsoConfig:
             require_finite(self, "vmax")
             if not (vmax > 0).all():
                 raise ConfigError(f"vmax must be > 0, got {self.vmax}")
+            with np.errstate(over="ignore"):
+                span = 2.0 * vmax  # initial velocities are drawn from [-vmax, vmax)
+            if not np.isfinite(span).all():
+                raise ConfigError(f"vmax is too large: 2 * vmax overflows, got {self.vmax}")
             if vmax.ndim == 0:
                 object.__setattr__(self, "vmax", float(vmax))
             elif vmax.ndim == 1:
@@ -178,21 +183,6 @@ def initialize_swarm(
     )
 
 
-def select_guide(state: SwarmState, particle_index: int, topology: Topology) -> np.ndarray:
-    """The attractor position for one particle under the given topology.
-
-    Global returns the swarm gbest. Ring(k) returns the best pbest among
-    the 2k+1 ring neighbors (self included), ties to the lowest index. It is
-    row ``particle_index`` of the guides :func:`step` moves the swarm toward.
-    """
-    n = len(state.pbest_fitness)
-    if not 0 <= particle_index < n:
-        raise ContractError(f"particle index {particle_index} out of range [0, {n})")
-    keyed = _keyed(state.pbest_fitness)
-    guides = _guides(state.pbest_position, state.gbest_position, keyed, topology)
-    return guides[particle_index] if guides.ndim == 2 else guides
-
-
 def update_velocity(
     particle: Particle, guide_position: np.ndarray, config: PsoConfig, stream: RngStream
 ) -> np.ndarray:
@@ -233,13 +223,6 @@ def _clamped(velocity, vmax):
     return np.minimum(np.maximum(velocity, -vmax), vmax)
 
 
-def clamp_velocity(velocity: np.ndarray, vmax: Union[float, np.ndarray]) -> np.ndarray:
-    """Saturate each component into [-vmax, vmax]."""
-    if not np.all(np.asarray(vmax) > 0):
-        raise ConfigError("vmax must be strictly positive")
-    return _clamped(velocity, vmax)
-
-
 def update_position(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     """Component-wise position update; deliberately not clamped to any box."""
     position = np.asarray(position, dtype=float)
@@ -251,44 +234,17 @@ def update_position(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return position + velocity
 
 
-def update_pbest(particle: Particle, new_fitness: float) -> Particle:
-    """Adopt the current position as pbest on strict improvement only.
-
-    Non-finite fitnesses never improve, so NaN objectives cannot poison
-    the memory. Returns ``particle`` itself when nothing improves.
-    """
-    improved, pbest, fitness, _ = _adopted(
-        particle, particle.position, new_fitness, _keyed(new_fitness)
-    )
-    return Particle(particle.position, particle.velocity, pbest, fitness) if improved else particle
-
-
 def _keyed(fitness: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(fitness), fitness, np.inf)
-
-
-def _adopted(prior, position, fitness, keyed):
-    """Row-wise, adopt ``position`` where ``keyed`` strictly beats ``prior``'s keyed pbest.
-
-    Returns the improved mask and new arrays of pbest positions, fitnesses and
-    keyed fitnesses; ``prior`` is left as it was.
-    """
-    keyed_prior = _keyed(prior.pbest_fitness)
-    improved = keyed < keyed_prior
-    pbest = np.array(prior.pbest_position, dtype=float)
-    pbest_fitness = np.array(prior.pbest_fitness, dtype=float)
-    np.copyto(pbest, position, where=improved[..., None])
-    np.copyto(pbest_fitness, fitness, where=improved)
-    np.copyto(keyed_prior, keyed, where=improved)
-    return improved, pbest, pbest_fitness, keyed_prior
 
 
 def _evaluated(objective, position, prior):
     """Evaluate each row of ``position`` once, in row order, and keep the better pbests.
 
-    Strict improvements on ``prior``'s pbests are adopted; with no prior the
-    evaluated rows are the pbests. Returns the pbest positions, fitnesses and
-    keyed fitnesses, and the running count of non-finite evaluations.
+    Strict improvements on ``prior``'s pbests are adopted into new arrays, and
+    ``prior`` is left as it was; with no prior the evaluated rows are the
+    pbests. Returns the pbest positions, fitnesses and keyed fitnesses, and the
+    running count of non-finite evaluations.
     """
     evaluate = objective.evaluate
     fitness = np.array([float(evaluate(row)) for row in position])
@@ -296,8 +252,14 @@ def _evaluated(objective, position, prior):
     non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
     if prior is None:
         return position, fitness, keyed, non_finite
-    _, pbest, fitness, keyed = _adopted(prior, position, fitness, keyed)
-    return pbest, fitness, keyed, non_finite + prior.non_finite_evals
+    keyed_prior = _keyed(prior.pbest_fitness)
+    improved = keyed < keyed_prior
+    pbest = np.array(prior.pbest_position, dtype=float)
+    pbest_fitness = np.array(prior.pbest_fitness, dtype=float)
+    np.copyto(pbest, position, where=improved[..., None])
+    np.copyto(pbest_fitness, fitness, where=improved)
+    np.copyto(keyed_prior, keyed, where=improved)
+    return pbest, pbest_fitness, keyed_prior, non_finite + prior.non_finite_evals
 
 
 def _guides(pbest, gbest, keyed, topology: Topology) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Whole-run reference engine: ``swarmkit.optimize`` as a straight per-particle loop.
+"""Whole-run reference engines: ``swarmkit.optimize`` and ``swarmkit.optimize_aco``
+as straight per-agent loops.
 
-It runs over the same streams as the library, ``derive_stream(seed, 0)`` for
-initialization and ``derive_stream(seed, 1 + k)`` for particle ``k``, but
-takes one scalar draw at a time and moves one particle, one dimension at a
-time. The guide and pbest rules come from ``pso_rule_reference``; the
-velocity rule, its clamp (``np.clip``), the trace fold and the stopping
-rule are written out here. No private engine body is imported, so a change
-to the library's array forms cannot carry this loop along with it. The
-differential test in ``test_pso.py`` holds whole runs of the two to the same
-bits.
+Both run over the same streams as the library: ``derive_stream(seed, 0)``
+initializes the swarm, and ``derive_stream(seed, 1 + k)`` belongs to particle
+or ant ``k``. They take one scalar draw at a time and move one agent at a
+time. The PSO guide and pbest rules come from ``pso_rule_reference``, and the
+tour, length and deposit loops from ``aco_reference``. The velocity rule, its
+clamp (``np.clip``), the weight table, the evaporation, the trace fold and
+the stopping rule are written out here. No private engine body is imported,
+so a change to the library's array forms cannot carry these loops along with
+it. The differential tests in ``test_pso.py`` and ``test_aco.py`` hold whole
+runs of the two to the same bits.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import aco_reference
 import pso_rule_reference
 from swarmkit import Particle, RunTrace, TraceEntry, derive_stream, fitness_key
 
@@ -102,3 +105,36 @@ def optimize(objective, config, seed):
         ):
             break
     return gbest, gbest_fitness, RunTrace(seed, tuple(entries), non_finite)
+
+
+def optimize_aco(graph, config, seed):
+    """Run the colony until termination; returns (best tour, trace, final pheromones)."""
+    n = graph.n
+    num_ants = config.num_ants if config.num_ants is not None else n
+    streams = [derive_stream(seed, 1 + k) for k in range(num_ants)]
+    tau = np.full((n, n), config.tau0)
+    np.fill_diagonal(tau, 0.0)
+    best, entries = None, []
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, zeroed below
+            weights = tau**config.alpha * (1.0 / graph.distance) ** config.beta
+        np.fill_diagonal(weights, 0.0)
+        tours = [
+            aco_reference.construct_tour(graph, weights, config, streams[k], k % n)
+            for k in range(num_ants)
+        ]
+        for tour in tours:
+            if best is None or tour.length < best.length:
+                best = tour
+        # Evaporate every edge, floored at tau_floor, then deposit on this iteration's tours.
+        tau = np.maximum((1.0 - config.rho) * tau, config.tau_floor)
+        np.fill_diagonal(tau, 0.0)
+        tau = aco_reference.deposit(tau, tours, config.q)
+
+        # best.length never rises, so it is the trace's running minimum as it stands.
+        entries.append(TraceEntry(len(entries), best.length, num_ants * (len(entries) + 1)))
+        target = config.termination.target_fitness
+        if len(entries) >= config.termination.max_iterations or (
+            target is not None and best.length <= target
+        ):
+            return best, RunTrace(seed, tuple(entries)), tau

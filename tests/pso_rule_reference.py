@@ -1,11 +1,10 @@
 """Per-particle particle swarm rules that pin the row-wise forms in ``swarmkit.pso``.
 
-Each function is the single-particle body the library used before its
-rules were folded into the row-wise code that ``step`` runs: the guide
-picked by a set of ring neighbors and ``min`` over ``fitness_key``, and the
-pbest adopted by comparing ``fitness_key`` values. The library's forms must
-reproduce these bit for bit; ``manual_step`` and the parity tests in
-``test_pso.py`` compare the two.
+Each function is a single-particle body written with plain Python
+comparisons: the guide picked by a set of ring neighbors and ``min`` over
+``fitness_key``, and the pbest adopted by comparing ``fitness_key`` values.
+``step`` must reproduce these bit for bit; ``manual_step`` in ``test_pso.py``
+and the whole-run loop in ``engine_reference.py`` are built on them.
 """
 
 from __future__ import annotations

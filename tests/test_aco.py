@@ -1,7 +1,9 @@
 """Tests for the ant colony engine."""
 
+import dataclasses
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import aco_reference
-from conftest import ForcedStream
+import engine_reference
+from conftest import ForcedStream, assert_same_bits
 from swarmkit import aco
 from swarmkit import (
     AcoConfig,
@@ -19,7 +22,6 @@ from swarmkit import (
     PheromoneMatrix,
     TerminationCriteria,
     Tour,
-    TraceEntry,
     TspInstance,
     construct_tour,
     deposit,
@@ -306,6 +308,14 @@ class TestTransitionWeights:
             except ContractError as error:
                 outcomes.append(str(error))
         assert outcomes[0] == outcomes[1]
+
+    def test_pheromone_diagonal_is_ignored(self, square_graph):
+        config = aco_config(alpha=1.5)
+        pheromones = initialize_pheromones(square_graph, config)
+        tau = pheromones.tau.copy()
+        np.fill_diagonal(tau, [7.0, 0.5, 1e300, 3.0])
+        after = transition_weights(square_graph, PheromoneMatrix(tau), config)
+        assert np.array_equal(after, transition_weights(square_graph, pheromones, config))
 
     def test_pheromones_for_another_graph_rejected(self, square_graph):
         graph = random_tsp_instance(5, derive_stream(3, 0)).graph
@@ -823,41 +833,10 @@ class TestReferenceParity:
         assert np.array_equal(after.tau, aco_reference.deposit(pheromones.tau, tours, config.q))
 
 
-def reference_colony(graph, config, seed):
-    """``optimize_aco`` as a straight loop over the list pieces in ``aco_reference``.
-
-    The weight table and the evaporation are written out here, so no engine
-    body is shared. Runs the full iteration budget (no target) and returns
-    the best tour and the trace entries.
-    """
-    n = graph.n
-    num_ants = config.num_ants if config.num_ants is not None else n
-    streams = [derive_stream(seed, 1 + k) for k in range(num_ants)]
-    tau = np.full((n, n), config.tau0)
-    np.fill_diagonal(tau, 0.0)
-    best, entries = None, []
-    for iteration in range(config.termination.max_iterations):
-        with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, zeroed below
-            weights = tau**config.alpha * (1.0 / graph.distance) ** config.beta
-        np.fill_diagonal(weights, 0.0)
-        tours = [
-            aco_reference.construct_tour(graph, weights, config, streams[k], k % n)
-            for k in range(num_ants)
-        ]
-        for tour in tours:
-            if best is None or tour.length < best.length:
-                best = tour
-        tau = np.maximum((1.0 - config.rho) * tau, config.tau_floor)
-        np.fill_diagonal(tau, 0.0)
-        tau = aco_reference.deposit(tau, tours, config.q)
-        entries.append(TraceEntry(iteration, best.length, num_ants * (iteration + 1)))
-    return best, entries
-
-
 class TestWholeRunReference:
     @given(
         st.integers(0, 2**32 - 1),
-        st.integers(3, 12),
+        st.integers(3, 25),
         st.sampled_from([0.0, 0.5, 1.0, 2.5]),
         st.sampled_from([0.0, 1.0, 2.0, 3.3]),
         st.sampled_from([0.3, 1.0]),
@@ -867,9 +846,11 @@ class TestWholeRunReference:
     def test_optimize_aco_matches_the_straight_loop(
         self, seed, n, alpha, beta, rho, iterations, data
     ):
-        # rho=1 leaves every edge at tau_floor before the deposit. Tour
-        # lengths are positive and finite, so == on them compares the bits.
+        # rho=1 leaves every edge at tau_floor before the deposit; at rho=0.3 a
+        # floor of 0.6 binds from the second evaporation on edges no ant took.
+        # Tour lengths are positive and finite, so == on them compares the bits.
         num_ants = data.draw(st.one_of(st.none(), st.integers(1, 2 * n)), label="num_ants")
+        tau_floor = data.draw(st.sampled_from([1e-12, 0.2, 0.6]), label="tau_floor")
         graph = random_tsp_instance(n, derive_stream(seed, 0)).graph
         config = aco_config(
             termination=TerminationCriteria(max_iterations=iterations),
@@ -877,8 +858,18 @@ class TestWholeRunReference:
             alpha=alpha,
             beta=beta,
             rho=rho,
+            tau_floor=tau_floor,
         )
-        best, trace = optimize_aco(graph, config, seed)
-        ref_best, ref_entries = reference_colony(graph, config, seed)
+        if data.draw(st.booleans(), label="stop early"):
+            # A best length the run reaches, so the target is met exactly at some iteration.
+            lengths = [e.best_fitness for e in optimize_aco(graph, config, seed)[1].entries]
+            target = data.draw(st.sampled_from(lengths), label="target_fitness")
+            termination = TerminationCriteria(max_iterations=iterations, target_fitness=target)
+            config = dataclasses.replace(config, termination=termination)
+        with mock.patch.object(aco, "deposit", wraps=aco.deposit) as spy:
+            best, trace = optimize_aco(graph, config, seed)
+        pheromones = aco.deposit(*spy.call_args.args)  # the run's last deposit, replayed
+        ref_best, ref_trace, ref_tau = engine_reference.optimize_aco(graph, config, seed)
         assert best == ref_best
-        assert list(trace.entries) == ref_entries
+        assert trace == ref_trace
+        assert_same_bits(pheromones.tau, ref_tau)

@@ -874,6 +874,18 @@ class TestMain:
         assert out == "" and err.startswith(f"error: dim {dim} is too large")
         assert err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would print more lines
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_vmax_reports_one_line(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text(extra="vmax=1e308\n"))
+        out_dir = tmp_path / "results"
+        argv = [command, str(cfg), *(["--output", str(out_dir)] if command == "run" else [])]
+        assert main(argv) == 1
+        message = "error: vmax is too large: 2 * vmax overflows, got 1e+308\n"
+        assert capsys.readouterr() == ("", message)
+        assert not out_dir.exists()
+
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize("command", ["validate", "brute-force"])
     def test_huge_coordinates_report_one_line(self, command, tmp_path, capsys):

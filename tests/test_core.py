@@ -120,6 +120,16 @@ class TestObjectiveSpec:
         with pytest.raises(ConfigError):
             self._spec(lower_bound=np.array([-1.0, 2.0]))
 
+    def test_rejects_bounds_whose_span_overflows(self):
+        # Each bound is finite, but upper - lower is not: initial positions would be inf.
+        with pytest.raises(ConfigError, match=r"upper_bound - lower_bound overflows"):
+            self._spec(lower_bound=np.array([-1.0, -1e308]), upper_bound=np.array([1.0, 1e308]))
+
+    def test_accepts_the_widest_finite_span(self):
+        half = np.finfo(float).max / 2
+        spec = self._spec(lower_bound=np.full(2, -half), upper_bound=np.full(2, half))
+        assert np.isfinite(spec.upper_bound - spec.lower_bound).all()
+
 
 class TestTerminationCriteria:
     def test_rejects_zero_max_iterations(self):

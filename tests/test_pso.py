@@ -24,18 +24,15 @@ from swarmkit import (
     SwarmState,
     TerminationCriteria,
     benchmark,
-    clamp_velocity,
     derive_stream,
     fitness_key,
     initialize_swarm,
     optimize,
-    select_guide,
     step,
-    update_pbest,
     update_position,
     update_velocity,
 )
-from swarmkit.pso import resolve_vmax
+from swarmkit.pso import _clamped, _evaluated, _guides, _keyed, resolve_vmax
 
 
 def sphere_spec(d=2, half_range=1.0):
@@ -125,6 +122,21 @@ class TestPsoConfig:
         with pytest.raises(ConfigError):
             Ring(k=0)
 
+    @pytest.mark.parametrize("vmax", [1e308, np.array([1.0, 1e308])])
+    def test_rejects_vmax_whose_double_overflows(self, vmax):
+        # Initial velocities are -vmax + 2 * vmax * u, so every one would be +inf.
+        with pytest.raises(ConfigError, match=r"vmax is too large: 2 \* vmax overflows"):
+            PsoConfig(swarm_size=3, termination=TerminationCriteria(max_iterations=5), vmax=vmax)
+
+    def test_largest_accepted_vmax_starts_finite_velocities(self):
+        config = PsoConfig(
+            swarm_size=3,
+            termination=TerminationCriteria(max_iterations=5),
+            vmax=np.finfo(float).max / 2,
+        )
+        state = initialize_swarm(sphere_spec(d=2), config, derive_stream(1, 0))
+        assert np.isfinite(state.velocity).all()
+
     def test_vector_vmax_accepted(self):
         config = PsoConfig(
             swarm_size=3,
@@ -183,41 +195,6 @@ class TestInitializeSwarm:
         for pa, pb in zip(a.particles, b.particles):
             assert np.array_equal(pa.position, pb.position)
             assert np.array_equal(pa.velocity, pb.velocity)
-
-
-class TestSelectGuide:
-    def test_global_returns_overall_best(self):
-        state = state_from_pbest_fitnesses([3.0, 1.0, 2.0])
-        assert select_guide(state, 0, Global())[0] == 1.0
-
-    def test_single_particle_is_its_own_guide(self):
-        state = state_from_pbest_fitnesses([7.0])
-        assert select_guide(state, 0, Global())[0] == 0.0
-        assert select_guide(state, 0, Ring(k=1))[0] == 0.0
-
-    def test_ring_neighborhood_wraps_around(self):
-        # Neighborhood of index 0 under Ring(1) is {4, 0, 1} with fitnesses
-        # {1, 5, 4}; particle 4 wins.
-        state = state_from_pbest_fitnesses([5.0, 4.0, 3.0, 2.0, 1.0])
-        assert select_guide(state, 0, Ring(k=1))[0] == 4.0
-
-    def test_ring_ties_break_to_lowest_index(self):
-        state = state_from_pbest_fitnesses([2.0, 1.0, 1.0, 5.0, 5.0])
-        assert select_guide(state, 1, Ring(k=1))[0] == 1.0
-
-    def test_ring_covering_whole_swarm_matches_global(self):
-        state = state_from_pbest_fitnesses([5.0, 1.0, 3.0, 2.0, 4.0])
-        for i in range(5):
-            assert np.array_equal(
-                select_guide(state, i, Ring(k=2)), select_guide(state, i, Global())
-            )
-
-    def test_out_of_range_index_rejected(self):
-        state = state_from_pbest_fitnesses([1.0, 2.0])
-        with pytest.raises(ContractError):
-            select_guide(state, 2, Global())
-        with pytest.raises(ContractError):
-            select_guide(state, -1, Global())
 
 
 class TestUpdateVelocity:
@@ -294,24 +271,20 @@ class TestUpdateVelocity:
 
 
 class TestClampVelocity:
+    """``pso._clamped``, the clamp that ``step`` and ``update_velocity`` run."""
+
     def test_upper_saturation(self):
-        assert clamp_velocity(np.array([3.0]), 2.0)[0] == 2.0
+        assert _clamped(np.array([3.0]), 2.0)[0] == 2.0
 
     def test_lower_saturation(self):
-        assert clamp_velocity(np.array([-3.0]), 2.0)[0] == -2.0
+        assert _clamped(np.array([-3.0]), 2.0)[0] == -2.0
 
     def test_interior_identity(self):
-        assert clamp_velocity(np.array([1.5]), 2.0)[0] == 1.5
+        assert _clamped(np.array([1.5]), 2.0)[0] == 1.5
 
     def test_vector_vmax(self):
-        out = clamp_velocity(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 4.0]))
+        out = _clamped(np.array([3.0, -3.0, 0.5]), np.array([1.0, 2.0, 4.0]))
         assert np.array_equal(out, [1.0, -2.0, 0.5])
-
-    def test_rejects_nonpositive_vmax(self):
-        with pytest.raises(ConfigError):
-            clamp_velocity(np.array([1.0]), 0.0)
-        with pytest.raises(ConfigError):
-            clamp_velocity(np.array([1.0]), np.array([1.0, -2.0]))
 
     @given(
         st.data(),
@@ -328,14 +301,14 @@ class TestClampVelocity:
         vmax = data.draw(positive)
         if per_dimension:
             vmax = data.draw(hnp.arrays(np.float64, velocity.shape[-1], elements=positive))
-        assert_same_bits(clamp_velocity(velocity, vmax), np.clip(velocity, -vmax, vmax))
+        assert_same_bits(_clamped(velocity, vmax), np.clip(velocity, -vmax, vmax))
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
         st.floats(1e-3, 1e3),
     )
     def test_clamped_components_within_bound(self, values, vmax):
-        out = clamp_velocity(np.array(values), vmax)
+        out = _clamped(np.array(values), vmax)
         assert (np.abs(out) <= vmax).all()
         inside = np.abs(np.array(values)) <= vmax
         assert np.array_equal(out[inside], np.array(values)[inside])
@@ -359,77 +332,6 @@ class TestUpdatePosition:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractError):
             update_position(np.zeros(2), np.zeros(3))
-
-
-class TestUpdatePbest:
-    def test_strict_improvement_replaces(self):
-        particle = make_particle([2.0], [0.0], [1.0], 1.0)
-        out = update_pbest(particle, 0.5)
-        assert out.pbest_fitness == 0.5
-        assert np.array_equal(out.pbest_position, particle.position)
-
-    def test_tie_keeps_old_pbest(self):
-        particle = make_particle([2.0], [0.0], [1.0], 1.0)
-        out = update_pbest(particle, 1.0)
-        assert out.pbest_fitness == 1.0
-        assert np.array_equal(out.pbest_position, [1.0])
-
-    def test_worse_keeps_old_pbest(self):
-        particle = make_particle([2.0], [0.0], [1.0], 1.0)
-        assert update_pbest(particle, 2.0) is particle
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_fitness_never_improves(self, bad):
-        particle = make_particle([2.0], [0.0], [1.0], 1.0)
-        assert update_pbest(particle, bad) is particle
-
-    def test_finite_fitness_replaces_non_finite_pbest(self):
-        particle = make_particle([2.0], [0.0], [1.0], math.nan)
-        assert update_pbest(particle, 100.0).pbest_fitness == 100.0
-
-
-# Fitnesses with ties and every non-finite kind, for the rule parity tests.
-FITNESSES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]), st.floats(-4.0, 4.0)
-)
-
-
-class TestReferenceParity:
-    """The rule functions against the per-particle bodies in ``tests/pso_rule_reference.py``."""
-
-    @given(st.data())
-    def test_select_guide_matches_the_per_particle_body(self, data):
-        fitnesses = data.draw(st.lists(FITNESSES, min_size=1, max_size=12), label="fitnesses")
-        n = len(fitnesses)
-        # Narrow rings (2k+1 < n) take the neighborhood path; wider ones cover the
-        # whole swarm, where the engine takes gbest instead.
-        radius = st.integers(1, max(1, (n - 2) // 2)) | st.integers(1, n + 2)
-        topology = data.draw(st.just(Global()) | radius.map(lambda k: Ring(k=k)), label="topology")
-        state = state_of(
-            [
-                make_particle([float(i), -float(i)], [0.0, 0.0], [float(i), 0.5 * i], fit)
-                for i, fit in enumerate(fitnesses)
-            ]
-        )
-        for i in range(n):
-            guide = select_guide(state, i, topology)
-            assert np.array_equal(guide, pso_rule_reference.select_guide(state, i, topology))
-
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
-        FITNESSES,
-        FITNESSES,
-    )
-    def test_update_pbest_matches_the_per_particle_body(self, position, pbest_fitness, fitness):
-        d = len(position)
-        particle = make_particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
-        out = update_pbest(particle, fitness)
-        ref = pso_rule_reference.update_pbest(particle, fitness)
-        assert (out is particle) == (ref is particle)
-        assert np.array_equal(out.position, ref.position)
-        assert np.array_equal(out.velocity, ref.velocity)
-        assert np.array_equal(out.pbest_position, ref.pbest_position)
-        assert np.array_equal(out.pbest_fitness, ref.pbest_fitness, equal_nan=True)
 
 
 def manual_step(state, objective, config, streams):
@@ -471,6 +373,156 @@ def assert_states_identical(a, b):
         assert np.array_equal(pa.pbest_fitness, pb.pbest_fitness, equal_nan=True)
 
 
+def checked_step(state, objective, config, make_streams):
+    """``step`` from ``state``, after checking that ``manual_step`` gives the same bits.
+
+    ``make_streams()`` must return a fresh, equal set of streams on each call.
+    """
+    stepped = step(state, objective, config, make_streams())
+    assert_states_identical(stepped, manual_step(state, objective, config, make_streams()))
+    return stepped
+
+
+def guides_after_step(fitnesses, topology):
+    """Where each particle of ``state_from_pbest_fitnesses(fitnesses)`` moves in one step.
+
+    Particle i rests at its pbest [i], and the objective returns +inf, so no
+    pbest changes. With c1=0, c2=1 and r2=1 the velocity is guide - x, so each
+    particle lands exactly on its guide.
+    """
+    n = len(fitnesses)
+    config = PsoConfig(
+        swarm_size=n,
+        termination=TerminationCriteria(max_iterations=1),
+        c1=0.0,
+        c2=1.0,
+        vmax=float(n),
+        topology=topology,
+    )
+    spec = ObjectiveSpec(1, np.array([-1.0]), np.array([float(n)]), lambda x: math.inf)
+
+    def streams():  # r1, then r2, for d=1
+        return [ForcedStream([0.5, 1.0]) for _ in range(n)]
+
+    stepped = checked_step(state_from_pbest_fitnesses(fitnesses), spec, config, streams)
+    return stepped.position[:, 0].tolist()
+
+
+class TestSelectGuide:
+    """The guide rule, as ``step`` runs it, against the per-particle reference."""
+
+    def test_global_returns_overall_best(self):
+        assert guides_after_step([3.0, 1.0, 2.0], Global()) == [1.0, 1.0, 1.0]
+
+    def test_single_particle_is_its_own_guide(self):
+        assert guides_after_step([7.0], Global()) == [0.0]
+
+    def test_ring_neighborhood_wraps_around(self):
+        # Particle 0's Ring(1) neighborhood is {4, 0, 1}, with fitnesses
+        # {1, 5, 4}; particle 4 wins. Particle 4's is {3, 4, 0}.
+        guides = guides_after_step([5.0, 4.0, 3.0, 2.0, 1.0], Ring(k=1))
+        assert guides == [4.0, 2.0, 3.0, 4.0, 4.0]
+
+    def test_ring_ties_break_to_lowest_index(self):
+        guides = guides_after_step([2.0, 1.0, 1.0, 5.0, 5.0], Ring(k=1))
+        assert guides == [1.0, 1.0, 1.0, 2.0, 0.0]
+        # Across the wrap, the tie goes to index 0, not to 4, which comes first in ring order.
+        assert guides_after_step([1.0, 5.0, 5.0, 5.0, 1.0], Ring(k=1)) == [0.0, 0.0, 1.0, 4.0, 0.0]
+
+    def test_ring_covering_whole_swarm_matches_global(self):
+        fitnesses = [5.0, 1.0, 3.0, 2.0, 4.0]
+        assert guides_after_step(fitnesses, Ring(k=2)) == guides_after_step(fitnesses, Global())
+
+
+def pbest_after_step(pbest_fitness, fitness):
+    """One step of a particle at [2] with pbest [1], on an objective that returns ``fitness``."""
+    particle = make_particle([2.0], [0.0], [1.0], pbest_fitness)
+    config = PsoConfig(swarm_size=1, termination=TerminationCriteria(max_iterations=1))
+    spec = ObjectiveSpec(1, np.array([-4.0]), np.array([4.0]), lambda x: fitness)
+    return checked_step(state_of([particle]), spec, config, lambda: [derive_stream(0, 1)])
+
+
+class TestUpdatePbest:
+    """The pbest rule, as ``step`` runs it, against the per-particle reference."""
+
+    def test_strict_improvement_replaces(self):
+        out = pbest_after_step(1.0, 0.5)
+        assert out.pbest_fitness.tolist() == [0.5]
+        assert out.pbest_position.tolist() == [[2.0]]
+
+    def test_tie_keeps_old_pbest(self):
+        out = pbest_after_step(1.0, 1.0)
+        assert out.pbest_fitness.tolist() == [1.0]
+        assert out.pbest_position.tolist() == [[1.0]]
+
+    def test_worse_keeps_old_pbest(self):
+        out = pbest_after_step(1.0, 2.0)
+        assert out.pbest_fitness.tolist() == [1.0]
+        assert out.pbest_position.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fitness_never_improves(self, bad):
+        out = pbest_after_step(1.0, bad)
+        assert out.pbest_fitness.tolist() == [1.0]
+        assert out.pbest_position.tolist() == [[1.0]]
+        assert out.non_finite_evals == 1
+
+    def test_finite_fitness_replaces_non_finite_pbest(self):
+        out = pbest_after_step(math.nan, 100.0)
+        assert out.pbest_fitness.tolist() == [100.0]
+        assert out.pbest_position.tolist() == [[2.0]]
+
+
+# Fitnesses with ties and every non-finite kind, for the starting pbests.
+FITNESSES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]), st.floats(-4.0, 4.0)
+)
+
+
+class TestReferenceParity:
+    """``step``'s guide and pbest helpers against the bodies in ``tests/pso_rule_reference.py``."""
+
+    @given(st.data())
+    def test_select_guide_matches_the_per_particle_body(self, data):
+        fitnesses = data.draw(st.lists(FITNESSES, min_size=1, max_size=12), label="fitnesses")
+        n = len(fitnesses)
+        # Narrow rings (2k+1 < n) take the neighborhood path; wider ones cover the
+        # whole swarm, where the engine takes gbest instead.
+        radius = st.integers(1, max(1, (n - 2) // 2)) | st.integers(1, n + 2)
+        topology = data.draw(st.just(Global()) | radius.map(lambda k: Ring(k=k)), label="topology")
+        state = state_of(
+            [
+                make_particle([float(i), -float(i)], [0.0, 0.0], [float(i), 0.5 * i], fit)
+                for i, fit in enumerate(fitnesses)
+            ]
+        )
+        keyed = _keyed(state.pbest_fitness)
+        gbest = state.pbest_position[keyed.argmin()]  # as ``step`` picks it
+        guides = np.broadcast_to(_guides(state.pbest_position, gbest, keyed, topology), (n, 2))
+        for i in range(n):
+            assert np.array_equal(guides[i], pso_rule_reference.select_guide(state, i, topology))
+
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
+        FITNESSES,
+        FITNESSES,
+    )
+    def test_update_pbest_matches_the_per_particle_body(self, position, pbest_fitness, fitness):
+        d = len(position)
+        particle = make_particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
+        prior = state_of([particle], non_finite_evals=3)
+        spec = ObjectiveSpec(d, np.full(d, -1e6), np.full(d, 1e6), lambda x: fitness)
+        pbest, pbest_fitness_out, keyed, non_finite = _evaluated(spec, prior.position, prior)
+        ref = pso_rule_reference.update_pbest(particle, fitness)
+        assert np.array_equal(pbest[0], ref.pbest_position)
+        assert np.array_equal(pbest_fitness_out[0], ref.pbest_fitness, equal_nan=True)
+        assert keyed[0] == fitness_key(ref.pbest_fitness)
+        assert non_finite == 3 + (not math.isfinite(fitness))
+        # The prior's arrays are left as they were.
+        assert np.array_equal(prior.pbest_position[0], particle.pbest_position)
+        assert np.array_equal(prior.pbest_fitness[0], pbest_fitness, equal_nan=True)
+
+
 class TestStep:
     def _setup(self, swarm_size=7, d=3, topology=Global(), seed=5):
         spec = sphere_spec(d=d, half_range=2.0)
@@ -495,11 +547,15 @@ class TestStep:
 
     @given(st.data())
     def test_matches_per_particle_operations_for_any_configuration(self, data):
-        swarm = data.draw(st.integers(1, 10), label="swarm")
+        fitnesses = data.draw(st.lists(FITNESSES, min_size=1, max_size=10), label="fitnesses")
+        swarm = len(fitnesses)
         d = data.draw(st.integers(1, 5), label="d")
         topology = Global()
         if swarm > 1 and data.draw(st.booleans(), label="ring"):
-            topology = Ring(data.draw(st.integers(1, swarm - 1), label="ring_k"))
+            # Narrow rings (2k+1 < swarm) take the neighborhood path; wider ones
+            # cover the whole swarm, where the engine takes gbest instead.
+            k = st.integers(1, max(1, (swarm - 2) // 2)) | st.integers(1, swarm - 1)
+            topology = Ring(data.draw(k, label="ring_k"))
         vmax = data.draw(
             st.floats(0.1, 3.0)
             | st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d).map(np.array),
@@ -524,7 +580,14 @@ class TestStep:
             evaluate=lambda x: bad if x[0] > cut else float(np.sum(x * x)),
         )
         seed = data.draw(st.integers(0, 2**32), label="seed")
-        state = initialize_swarm(spec, config, derive_stream(seed, 0))
+        # Start from pbests with the drawn fitnesses, held at other positions than the particles.
+        start = initialize_swarm(spec, config, derive_stream(seed, 0)).particles
+        state = state_of(
+            [
+                Particle(p.position, p.velocity, 0.5 - p.position, fitness)
+                for p, fitness in zip(start, fitnesses)
+            ]
+        )
         vec_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
         man_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
         vec_state, man_state = state, state

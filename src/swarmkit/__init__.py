@@ -5,6 +5,8 @@ streams derived purely from ``(seed, stream_id)``, so runs are exactly
 reproducible across processes and machines.
 """
 
+from types import ModuleType as _ModuleType
+
 from .aco import (
     AcoConfig,
     DistanceGraph,
@@ -72,59 +74,9 @@ from .pso import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcoConfig",
-    "BENCHMARK_NAMES",
-    "aggregate_bests",
-    "BRUTE_FORCE_MAX_NODES",
-    "BenchmarkFunction",
-    "ConfigError",
-    "ContractError",
-    "DistanceGraph",
-    "ExperimentConfig",
-    "Global",
-    "ObjectiveSpec",
-    "Particle",
-    "PheromoneMatrix",
-    "PsoConfig",
-    "RNG_ALGORITHM",
-    "Ring",
-    "RngStream",
-    "RunSummary",
-    "RunTrace",
-    "SwarmState",
-    "TerminationCriteria",
-    "Tour",
-    "TraceEntry",
-    "TspInstance",
-    "benchmark",
-    "brute_force_tsp",
-    "construct_tour",
-    "deposit",
-    "derive_stream",
-    "emit_summary",
-    "enumerate_distinct_tours",
-    "evaporate",
-    "fitness_key",
-    "initialize_pheromones",
-    "initialize_swarm",
-    "load_tsp_instance",
-    "main",
-    "optimize",
-    "optimize_aco",
-    "parse_config",
-    "random_tsp_instance",
-    "rastrigin",
-    "record_iteration",
-    "rosenbrock",
-    "run_experiment",
-    "serialize_tsp_instance",
-    "should_terminate",
-    "sphere",
-    "step",
-    "tour_length",
-    "transition_probabilities",
-    "transition_weights",
-    "update_position",
-    "update_velocity",
-]
+# The public names are exactly those bound here: this module imports only what it re-exports.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

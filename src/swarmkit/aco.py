@@ -9,9 +9,9 @@ edge is ever locked out.
 
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
-lengths, and one ordered ``np.add.at`` for the deposit. Each gives the bits
-of the plain Python loop it replaced. ``construct_tour`` samples each move
-from the kernel that computes ``transition_probabilities``.
+lengths, and one ordered ``np.add.at`` for the deposit. Each equals its
+plain Python loop in ``tests/aco_reference.py`` bit for bit. ``construct_tour``
+samples each move from the kernel that computes ``transition_probabilities``.
 """
 
 from __future__ import annotations

@@ -145,24 +145,22 @@ class RunTrace:
     """Per-iteration best-so-far record of one seeded run.
 
     Engines build it once, at the end of a run, from the entries that
-    :func:`record_iteration` returned. ``entries`` hold the cumulative
-    objective-call count alongside each best fitness; ``non_finite_evals``
-    counts evaluations that returned NaN or infinity (always treated as no
-    improvement).
+    :func:`record_iteration` returned: one per iteration run, so at least
+    one. ``entries`` hold the cumulative objective-call count alongside
+    each best fitness; ``non_finite_evals`` counts evaluations that
+    returned NaN or infinity (always treated as no improvement).
     """
 
     seed: int
-    entries: tuple[TraceEntry, ...] = ()
+    entries: tuple[TraceEntry, ...]
     non_finite_evals: int = 0
 
     @property
     def evaluations(self) -> int:
-        return self.entries[-1].evaluations if self.entries else 0
+        return self.entries[-1].evaluations
 
     @property
     def best_fitness(self) -> float:
-        if not self.entries:
-            raise ContractError("trace has no entries")
         return self.entries[-1].best_fitness
 
 

@@ -132,7 +132,7 @@ class PsoConfig:
 
 @dataclass(frozen=True, eq=False)
 class SwarmState:
-    """Snapshot of the swarm after some number of iterations, one array row per particle."""
+    """The swarm between iterations, one array row per particle."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -140,7 +140,6 @@ class SwarmState:
     pbest_fitness: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
-    iteration: int
     non_finite_evals: int = 0
 
     @property
@@ -179,7 +178,7 @@ def initialize_swarm(
     pbest, fitness, keyed, non_finite = _evaluated(objective, position, prior=None)
     best = keyed.argmin()  # first minimum = lowest index
     return SwarmState(
-        position, velocity, pbest, fitness, pbest[best], float(fitness[best]), 0, non_finite
+        position, velocity, pbest, fitness, pbest[best], float(fitness[best]), non_finite
     )
 
 
@@ -264,10 +263,9 @@ def _evaluated(objective, position, prior):
 
 def _guides(pbest, gbest, keyed, topology: Topology) -> np.ndarray:
     """Each row's attractor: gbest, or the best pbest within +/-k ring neighbors."""
-    n = keyed.shape[0]
-    if isinstance(topology, Global) or 2 * topology.k + 1 >= n:
+    if isinstance(topology, Global):
         return gbest  # one row, broadcast against every particle
-    k = topology.k
+    n, k = keyed.shape[0], topology.k
     rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
     col = np.argmin(keyed[rows], axis=1)  # first minimum = lowest index
     return pbest[rows[np.arange(n), col]]
@@ -303,9 +301,7 @@ def step(
     velocity = _velocity_rule(x, state.velocity, pbest, guides, draws, config, vmax)
     position = update_position(x, velocity)
     gbest_fitness = float(fitness[best])
-    return SwarmState(
-        position, velocity, pbest, fitness, gbest, gbest_fitness, state.iteration + 1, non_finite
-    )
+    return SwarmState(position, velocity, pbest, fitness, gbest, gbest_fitness, non_finite)
 
 
 def optimize(

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from swarmkit import (
     RNG_ALGORITHM,
     ConfigError,
-    ContractError,
     ObjectiveSpec,
     RngStream,
-    RunTrace,
     TerminationCriteria,
     TraceEntry,
     derive_stream,
@@ -139,16 +137,6 @@ class TestTerminationCriteria:
     def test_minimal_criteria(self):
         criteria = TerminationCriteria(max_iterations=1)
         assert criteria.target_fitness is None
-
-
-class TestRunTrace:
-    def test_empty_trace_has_zero_evaluations(self):
-        trace = RunTrace(seed=1)
-        assert trace.evaluations == 0
-
-    def test_best_fitness_requires_entries(self):
-        with pytest.raises(ContractError):
-            RunTrace(seed=1).best_fitness
 
 
 # Ties under fitness_key (0.0 and -0.0; NaN and the infinities) are where the floor's choice shows.

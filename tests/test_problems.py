@@ -27,7 +27,7 @@ from swarmkit import (
     sphere,
     tour_length,
 )
-from swarmkit import AcoConfig, TerminationCriteria
+from swarmkit import AcoConfig, TerminationCriteria, problems
 
 
 class TestSphere:
@@ -120,10 +120,12 @@ class TestBenchmark:
     @pytest.mark.parametrize("name", ["sphere", "rastrigin", "rosenbrock"])
     @pytest.mark.parametrize("dimension", [2, 3, 7])
     def test_known_optimum_identity(self, name, dimension):
-        bench = benchmark(name, dimension)
-        position, fitness = bench.known_optimum
-        assert bench.spec.evaluate(position) == pytest.approx(fitness, abs=1e-12)
-        assert bench.spec.dimension == dimension
+        # Each name is wired to its own objective, which is 0 at its known optimum.
+        spec = benchmark(name, dimension).spec
+        assert spec.evaluate is getattr(problems, name)
+        assert spec.dimension == dimension
+        optimum = np.ones(dimension) if name == "rosenbrock" else np.zeros(dimension)
+        assert spec.evaluate(optimum) == 0.0
 
     def test_bounds_follow_conventions(self):
         assert benchmark("sphere", 2).spec.upper_bound[0] == 5.12
@@ -224,11 +226,6 @@ class TestSerializeRoundTrip:
         instance = random_tsp_instance(n, derive_stream(seed, 0))
         again = load_tsp_instance(serialize_tsp_instance(instance))
         assert np.array_equal(again.coordinates, instance.coordinates)
-
-    def test_graph_only_instances_cannot_serialize(self, unit_square):
-        bare = TspInstance(name="bare", graph=unit_square.graph)
-        with pytest.raises(ConfigError):
-            serialize_tsp_instance(bare)
 
 
 class TestRandomTspInstance:

@@ -349,4 +349,4 @@ def optimize_aco(
         if on_iteration is not None:
             on_iteration(entry)
         if should_terminate(entry, config.termination):
-            return best, RunTrace(seed, tuple(entries))
+            return best, RunTrace(tuple(entries))

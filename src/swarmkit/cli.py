@@ -13,10 +13,11 @@ problem loader that ``run`` calls once per experiment.
 
 from __future__ import annotations
 
-# The process pool, argparse, statistics and json are imported where they are
-# used, so that ``import swarmkit`` loads none of them and a one-worker run no pool.
+# The process pool, argparse and json are imported where they are used, so
+# that ``import swarmkit`` loads none of them and a one-worker run no pool.
 import contextlib
 import functools
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .core import (
     TraceEntry,
 )
 from .problems import TspInstance, benchmark, brute_force_tsp, load_tsp_instance
-from .pso import Global, PsoConfig, Ring, optimize
+from .pso import Global, PsoConfig, Ring, _check_envelope, optimize
 
 DEFAULT_OUTPUT_DIR = "runs"
 TRACE_HEADER = "iteration,best_fitness,evaluations"
@@ -205,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         if dim < 1:
             raise ConfigError(f"dim must be >= 1, got {dim}")
-        benchmark(problem, dim)  # fails as run would on an unknown name or a bad dim
+        spec = benchmark(problem, dim).spec  # fails as run would on an unknown name or a bad dim
         topologies = {"global": Global(), "ring": Ring(ring_k)}
         if topology not in topologies:
             raise ConfigError(f"topology must be global or ring, got {topology!r}")
@@ -213,6 +214,7 @@ def parse_config(text: str) -> ExperimentConfig:
             # The summary echoes ring_k under global too, so range-check it there as well.
             PsoConfig(termination=termination, topology=topologies["ring"], **values)
         engine = PsoConfig(termination=termination, topology=topologies[topology], **values)
+        _check_envelope(engine, spec)
     return ExperimentConfig(problem, seeds, engine, dim, output, ring_k)
 
 
@@ -331,14 +333,14 @@ def run_experiment(
 
 
 def aggregate_bests(bests: list) -> dict:
-    """Summary statistics over per-seed best fitnesses, exactly recomputable."""
-    import statistics
+    """Summary statistics over per-seed best fitnesses, exactly recomputable.
 
-    return {
-        "min": min(bests),
-        "median": statistics.median(bests),
-        "mean": statistics.fmean(bests),
-    }
+    The median and mean are computed as ``statistics.median`` and
+    ``statistics.fmean`` compute them, without importing that module.
+    """
+    ordered, middle = sorted(bests), len(bests) // 2
+    median = ordered[middle] if len(bests) % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+    return {"min": min(bests), "median": median, "mean": math.fsum(bests) / len(bests)}
 
 
 def emit_summary(summary: RunSummary) -> str:

@@ -142,7 +142,7 @@ class TraceEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-iteration best-so-far record of one seeded run.
+    """Per-iteration best-so-far record of one run.
 
     Engines build it once, at the end of a run, from the entries that
     :func:`record_iteration` returned: one per iteration run, so at least
@@ -151,7 +151,6 @@ class RunTrace:
     returned NaN or infinity (always treated as no improvement).
     """
 
-    seed: int
     entries: tuple[TraceEntry, ...]
     non_finite_evals: int = 0
 

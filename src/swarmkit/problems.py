@@ -46,46 +46,37 @@ def rosenbrock(x) -> float:
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkFunction:
-    """A named objective on its standard search box."""
+    """A benchmark objective on its standard search box."""
 
-    name: str
     spec: ObjectiveSpec
 
 
-def _make_benchmark(name, fn, half_range, dimension, min_dim=1):
+# Box half-width and smallest dimension of each benchmark.
+_BOXES = {"sphere": (5.12, 1), "rastrigin": (5.12, 1), "rosenbrock": (2.048, 2)}
+
+BENCHMARK_NAMES = tuple(sorted(_BOXES))
+
+
+def benchmark(name: str, dimension: int) -> BenchmarkFunction:
+    """The benchmark ``name`` on its box ``[-h, h]^dimension``.
+
+    An unknown name, too small a dimension, or one whose bounds numpy cannot
+    size or allocate raises :class:`ConfigError`, checked in that order.
+    """
+    try:
+        half_range, min_dim = _BOXES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown benchmark {name!r}; available: {', '.join(BENCHMARK_NAMES)}"
+        ) from None
     if dimension < min_dim:
         raise ConfigError(f"{name} needs dimension >= {min_dim}, got {dimension}")
     try:
         lower, upper = np.full(dimension, -half_range), np.full(dimension, half_range)
     except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate the arrays
         raise ConfigError(f"dim {dimension} is too large: {exc}") from None
-    spec = ObjectiveSpec(dimension=dimension, lower_bound=lower, upper_bound=upper, evaluate=fn)
-    return BenchmarkFunction(name=name, spec=spec)
-
-
-# Builders look each objective up when called, so rebinding ``problems.sphere`` reaches them.
-_BENCHMARK_BUILDERS = {
-    "sphere": lambda d: _make_benchmark("sphere", sphere, 5.12, d),
-    "rastrigin": lambda d: _make_benchmark("rastrigin", rastrigin, 5.12, d),
-    "rosenbrock": lambda d: _make_benchmark("rosenbrock", rosenbrock, 2.048, d, min_dim=2),
-}
-
-BENCHMARK_NAMES = tuple(sorted(_BENCHMARK_BUILDERS))
-
-
-def benchmark(name: str, dimension: int) -> BenchmarkFunction:
-    """Look up a benchmark by name at the given dimension.
-
-    An unknown name, too small a dimension, or one whose bounds numpy cannot
-    size or allocate raises :class:`ConfigError`.
-    """
-    try:
-        builder = _BENCHMARK_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown benchmark {name!r}; available: {', '.join(BENCHMARK_NAMES)}"
-        ) from None
-    return builder(dimension)
+    # Looked up when called, so that rebinding ``problems.sphere`` reaches the spec.
+    return BenchmarkFunction(ObjectiveSpec(dimension, lower, upper, globals()[name]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,11 +109,11 @@ def load_tsp_instance(text: str, name: str = "instance") -> TspInstance:
 
     Lines starting with '#' and blank lines are ignored. The first
     significant line is the node count n, followed by n lines of
-    "index x y" with consecutive 0-based indices.
+    "index x y" with consecutive 0-based indices. The points are
+    collected as read, so n is only compared, never allocated.
     """
     n = None
-    coords = None
-    next_index = 0
+    coords = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -134,9 +125,8 @@ def load_tsp_instance(text: str, name: str = "instance") -> TspInstance:
                 raise ConfigError(f"line {lineno}: expected node count, got {line!r}") from None
             if n < 3:
                 raise ConfigError(f"line {lineno}: n < 3 (got {n})")
-            coords = np.zeros((n, 2), dtype=float)
             continue
-        if next_index >= n:
+        if len(coords) >= n:
             raise ConfigError(f"line {lineno}: more than {n} point lines")
         parts = line.split()
         if len(parts) != 3:
@@ -146,16 +136,15 @@ def load_tsp_instance(text: str, name: str = "instance") -> TspInstance:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:
             raise ConfigError(f"line {lineno}: malformed point line {line!r}") from None
-        if 0 <= index < next_index:
+        if 0 <= index < len(coords):
             raise ConfigError(f"line {lineno}: duplicate point index {index}")
-        if index != next_index:
-            raise ConfigError(f"line {lineno}: expected index {next_index}, got {index}")
-        coords[index] = (x, y)
-        next_index += 1
+        if index != len(coords):
+            raise ConfigError(f"line {lineno}: expected index {len(coords)}, got {index}")
+        coords.append((x, y))
     if n is None:
         raise ConfigError("empty instance: no node count found")
-    if next_index != n:
-        raise ConfigError(f"expected {n} points, found {next_index}")
+    if len(coords) != n:
+        raise ConfigError(f"expected {n} points, found {len(coords)}")
     return TspInstance.from_coordinates(name, coords)
 
 

@@ -24,6 +24,7 @@ a run is a pure function of (objective, config, seed).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -110,9 +111,7 @@ class PsoConfig:
             require_finite(self, "vmax")
             if not (vmax > 0).all():
                 raise ConfigError(f"vmax must be > 0, got {self.vmax}")
-            with np.errstate(over="ignore"):
-                span = 2.0 * vmax  # initial velocities are drawn from [-vmax, vmax)
-            if not np.isfinite(span).all():
+            if not (vmax <= np.finfo(float).max / 2).all():  # initialize_swarm takes 2 * vmax
                 raise ConfigError(f"vmax is too large: 2 * vmax overflows, got {self.vmax}")
             if vmax.ndim == 0:
                 object.__setattr__(self, "vmax", float(vmax))
@@ -158,6 +157,32 @@ def resolve_vmax(config: PsoConfig, objective: ObjectiveSpec) -> Union[float, np
             f"vmax has shape {config.vmax.shape}, objective dimension is {objective.dimension}"
         )
     return config.vmax
+
+
+def _check_envelope(config: PsoConfig, objective: ObjectiveSpec) -> None:
+    """Refuse a run in which a velocity sum could overflow, whatever the objective returns.
+
+    Positions start in the box and each step moves a coordinate by at most
+    the cap, so every position, pbest and guide of the run lies within
+    ``reach = B + max_iterations * cap`` of the origin, ``B`` being the
+    largest bound magnitude. Every velocity sum is then at most
+    ``cap + 2 * (c1 + c2) * reach``, and twice that must be below the float
+    maximum. The sums are Python floats, so an overflow is inf, 0 * inf is
+    NaN (both refused) and numpy warns of neither.
+    """
+    cap = float(np.max(resolve_vmax(config, objective)))
+    bound = float(np.max(np.abs([objective.lower_bound, objective.upper_bound])))
+    iterations = config.termination.max_iterations
+    try:
+        reach = bound + float(iterations) * cap
+    except OverflowError:  # an integer beyond the float range
+        reach = math.inf
+    c1, c2 = float(config.c1), float(config.c2)
+    if not 2 * (cap + 2 * (c1 + c2) * reach) < np.finfo(float).max:
+        raise ConfigError(
+            f"c1, c2, vmax and max_iterations let a velocity sum overflow on a box bounded "
+            f"by {bound!r}: c1={c1!r}, c2={c2!r}, vmax={cap!r}, max_iterations={iterations}"
+        )
 
 
 def initialize_swarm(
@@ -313,10 +338,12 @@ def optimize(
     """Run the swarm until termination; returns (best position, best fitness, trace).
 
     ``on_iteration`` is invoked with each freshly recorded trace entry,
-    which lets callers stream progress to disk.
+    which lets callers stream progress to disk. A config whose velocity sum
+    could overflow is a :class:`ConfigError` before the first evaluation.
     """
     # Resolved once per run, so each step's resolve_vmax returns config.vmax.
     config = dataclasses.replace(config, vmax=resolve_vmax(config, objective))
+    _check_envelope(config, objective)
     state = initialize_swarm(objective, config, derive_stream(seed, 0))
     streams = [derive_stream(seed, 1 + k) for k in range(config.swarm_size)]
     evaluations = config.swarm_size
@@ -331,5 +358,5 @@ def optimize(
             on_iteration(entry)
         if should_terminate(entry, config.termination):
             break
-    trace = RunTrace(seed, tuple(entries), state.non_finite_evals)
+    trace = RunTrace(tuple(entries), state.non_finite_evals)
     return state.gbest_position, state.gbest_fitness, trace

@@ -104,7 +104,7 @@ def optimize(objective, config, seed):
             target is not None and recorded <= target
         ):
             break
-    return gbest, gbest_fitness, RunTrace(seed, tuple(entries), non_finite)
+    return gbest, gbest_fitness, RunTrace(tuple(entries), non_finite)
 
 
 def optimize_aco(graph, config, seed):
@@ -137,4 +137,4 @@ def optimize_aco(graph, config, seed):
         if len(entries) >= config.termination.max_iterations or (
             target is not None and best.length <= target
         ):
-            return best, RunTrace(seed, tuple(entries)), tau
+            return best, RunTrace(tuple(entries)), tau

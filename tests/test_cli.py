@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -284,6 +285,27 @@ class TestSummary:
         agg = aggregate_bests([1.0, 3.0, 2.0])
         assert agg == {"min": 1.0, "median": 2.0, "mean": 2.0}
 
+    @given(
+        st.lists(
+            st.floats()
+            | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, -1e308]),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_aggregate_has_the_bits_of_statistics(self, bests):
+        import statistics
+
+        try:
+            expected = [min(bests), statistics.median(bests), statistics.fmean(bests)]
+        except (OverflowError, ValueError) as exc:  # fsum of inf and -inf, or of a huge sum
+            with pytest.raises((OverflowError, ValueError)) as raised:
+                aggregate_bests(bests)
+            assert type(raised.value) is type(exc)
+            return
+        bits = [struct.pack("<d", v) for v in aggregate_bests(bests).values()]
+        assert bits == [struct.pack("<d", v) for v in expected]
+
     def test_emissions_are_byte_identical(self, tmp_path):
         config = parse_config(small_pso_text())
         summary = run_experiment(config, output_dir=str(tmp_path))
@@ -542,13 +564,13 @@ class TestRunExperiment:
 
     def test_import_and_one_worker_run_load_no_process_pool(self, tmp_path):
         # Runs in a fresh interpreter: this process has loaded all of them already.
-        # Writing the summary loads statistics (and with it decimal) and json,
-        # so only the import is checked for those.
+        # Writing the summary loads json, so only the import is checked for it.
         script = """
 import sys
 import swarmkit
 heavy = ["concurrent.futures", "multiprocessing", "argparse", "logging"]
-print(*[m for m in [*heavy, "statistics", "decimal", "json"] if m in sys.modules])
+heavy += ["statistics", "fractions", "decimal"]
+print(*[m for m in [*heavy, "json"] if m in sys.modules])
 config = swarmkit.parse_config(open(sys.argv[1]).read())
 swarmkit.run_experiment(config, output_dir=sys.argv[2], workers=1)
 print(*[m for m in heavy if m in sys.modules])
@@ -885,6 +907,42 @@ class TestMain:
         message = "error: vmax is too large: 2 * vmax overflows, got 1e+308\n"
         assert capsys.readouterr() == ("", message)
         assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would print more lines
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [("dim=3", "dim=2\nc1=1e308\nc2=1e308"), ("max_iterations=10", f"max_iterations={10**400}")],
+        ids=["c1-c2", "max_iterations"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_velocity_sum_reports_one_line(
+        self, command, line, replacement, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_pso_text().replace(line, replacement))
+        out_dir = tmp_path / "results"
+        argv = [command, str(cfg), *(["--output", str(out_dir)] if command == "run" else [])]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: c1, c2, vmax and max_iterations let a velocity sum overflow")
+        assert not out_dir.exists()
+
+    # numpy cannot size the first count; it refuses to allocate the second (1.42 PiB) at once.
+    @pytest.mark.parametrize("count", [10**30, 10**14])
+    @pytest.mark.parametrize("command", ["brute-force", "validate", "run"])
+    def test_node_count_numpy_cannot_size_reports_one_line(self, command, count, tmp_path, capsys):
+        instance = tmp_path / "big.txt"
+        instance.write_text(f"{count}\n0 0.0 0.0\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(small_aco_text(str(instance)))
+        argv = {
+            "brute-force": [command, str(instance)],
+            "validate": [command, str(cfg)],
+            "run": [command, str(cfg), "--output", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: expected {count} points, found 1\n")
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize("command", ["validate", "brute-force"])

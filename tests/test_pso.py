@@ -32,7 +32,7 @@ from swarmkit import (
     update_position,
     update_velocity,
 )
-from swarmkit.pso import _clamped, _evaluated, _guides, _keyed, resolve_vmax
+from swarmkit.pso import _check_envelope, _clamped, _evaluated, _guides, _keyed, resolve_vmax
 
 
 def sphere_spec(d=2, half_range=1.0):
@@ -819,6 +819,66 @@ class TestOptimize:
         _, best, trace = optimize(bench.spec, config, seed=17)
         assert best < bench.spec.evaluate(bench.spec.upper_bound)
         assert trace.evaluations == 10 + 10 * 50
+
+
+def log_uniform(low_exponent, high_exponent):
+    return st.floats(low_exponent, high_exponent).map(lambda e: 10.0**e)
+
+
+def farthest_point_spec(d, half_range):
+    """-max|x| on [-h, h]^d: it cannot overflow, and it pulls the pbests outward."""
+    lower, upper = np.full(d, -half_range), np.full(d, half_range)
+    return ObjectiveSpec(d, lower, upper, lambda x: -float(np.max(np.abs(x))))
+
+
+class TestVelocityEnvelope:
+    ENVELOPE = "c1, c2, vmax and max_iterations let a velocity sum overflow"
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.just(0.0) | log_uniform(-3, 308),
+        st.just(0.0) | log_uniform(-3, 308),
+        st.none() | log_uniform(-3, 307),
+        log_uniform(-3, 307),
+        st.integers(1, 30),
+        st.integers(1, 5),
+        st.integers(1, 3),
+    )
+    def test_accepted_runs_never_overflow(self, seed, c1, c2, vmax, half_range, budget, swarm, d):
+        config = PsoConfig(swarm, TerminationCriteria(budget), c1=c1, c2=c2, vmax=vmax)
+        spec = farthest_point_spec(d, half_range)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                optimize(spec, config, seed)
+        except ConfigError as exc:
+            assert str(exc).startswith(self.ENVELOPE)
+
+    @pytest.mark.parametrize(
+        "half_range, budget, coefficients",
+        [
+            (8e307, 50, dict()),  # a box whose pbest - x overflows
+            (5.12, 10, dict(c1=1e308, c2=1e308)),
+            (5.12, 10**400, dict()),  # beyond the float range: no run could finish
+            (1.0, 30, dict(c1=0.0, c2=0.0, vmax=8e307)),  # 0 * inf in the envelope is NaN
+        ],
+        ids=["wide-box", "c1-c2", "budget-beyond-float", "nan-envelope"],
+    )
+    def test_refuses_before_the_first_evaluation(self, half_range, budget, coefficients):
+        def evaluate(x):
+            raise AssertionError("the run started")
+
+        spec = ObjectiveSpec(3, np.full(3, -half_range), np.full(3, half_range), evaluate)
+        config = PsoConfig(10, TerminationCriteria(budget), **coefficients)
+        with pytest.raises(ConfigError, match=self.ENVELOPE):
+            optimize(spec, config, seed=1)
+
+    def test_refuses_a_budget_no_run_can_reach_on_the_sphere_box(self):
+        spec = benchmark("sphere", 2).spec
+        accepted = PsoConfig(5, TerminationCriteria(2 * 10**306))
+        _check_envelope(accepted, spec)  # 2 * (5.12 + 8 * (5.12 + T * 5.12)) < 1.8e308
+        with pytest.raises(ConfigError, match=self.ENVELOPE):
+            _check_envelope(PsoConfig(5, TerminationCriteria(3 * 10**306)), spec)
 
 
 class TestRandomizedInvariants:

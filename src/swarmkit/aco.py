@@ -9,9 +9,9 @@ edge is ever locked out.
 
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
-lengths, and one ordered ``np.add.at`` for the deposit. Each equals its
-plain Python loop in ``tests/aco_reference.py`` bit for bit. ``construct_tour``
-samples each move from the kernel that computes ``transition_probabilities``.
+lengths, and one ordered ``np.add.at`` for the deposit. Each equals its plain
+Python loop in ``tests/aco_reference.py`` bit for bit. ``transition_probabilities``
+reads a row of ``transition_weights``, the table ``construct_tour`` samples.
 """
 
 from __future__ import annotations
@@ -144,20 +144,11 @@ def transition_weights(
 ) -> np.ndarray:
     """(n, n) move weights tau^alpha * (1/distance)^beta, zero diagonal. Overflow and
     underflow give inf and 0 without a warning; a row they spoil fails the sum check."""
-    return _weights(graph, pheromones, config, slice(None))
-
-
-def _weights(graph, pheromones, config, rows):
-    """The move weights on ``rows`` (a slice) of the n x n tables, 0 from a node to itself.
-
-    Element-wise, so a row slice gets the bits of the same rows of the full table.
-    """
     if pheromones.n != graph.n:
         raise ContractError(f"pheromones cover {pheromones.n} nodes, the graph {graph.n}")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weights = pheromones.tau[rows] ** config.alpha * (1.0 / graph.distance[rows]) ** config.beta
-    nodes = np.arange(graph.n)[rows]
-    weights[np.arange(nodes.size), nodes] = 0.0
+        weights = pheromones.tau ** config.alpha * (1.0 / graph.distance) ** config.beta
+    np.fill_diagonal(weights, 0.0)
     return weights
 
 
@@ -170,9 +161,9 @@ def transition_probabilities(
 ) -> np.ndarray:
     """Move probabilities from ``current`` over unvisited nodes.
 
-    Entry j (in ascending node order over the unvisited set) is
-    proportional to tau^alpha * (1/distance)^beta. The vector sums to 1 and
-    is what :func:`construct_tour` samples from, computed by the same kernel.
+    Entry j (in ascending node order over the unvisited set) is proportional to
+    tau^alpha * (1/distance)^beta. The vector sums to 1 and normalizes a row of
+    :func:`transition_weights`, the table :func:`construct_tour` samples.
     """
     n = graph.n
     if not 0 <= current < n:
@@ -187,7 +178,7 @@ def transition_probabilities(
     free[blocked] = False
     if not free.any():
         raise ContractError("no unvisited nodes to move to")
-    row = _weights(graph, pheromones, config, slice(current, current + 1))[0]
+    row = transition_weights(graph, pheromones, config)[current]
     with np.errstate(over="ignore"):
         return _move(row, free, current, config)[1]
 

@@ -36,15 +36,13 @@ class RngStream:
     draw sequences; distinct ids share no state.
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("_gen",)
 
     def __init__(self, seed: int, stream_id: int):
         if not 0 <= seed <= _U64_MAX:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if not 0 <= stream_id <= _U64_MAX:
             raise ConfigError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-        self.seed = seed
-        self.stream_id = stream_id
         self._gen = np.random.Generator(np.random.Philox(key=(seed << 64) | stream_id))
 
     def next_uniform(self) -> float:
@@ -54,9 +52,6 @@ class RngStream:
     def next_uniforms(self, n: int) -> np.ndarray:
         """Draw ``n`` uniforms in [0, 1); identical to ``n`` scalar draws."""
         return self._gen.random(n)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
 # The independent stream for ``(seed, stream_id)``. A Philox stream is a pure

@@ -179,9 +179,11 @@ def _check_envelope(config: PsoConfig, objective: ObjectiveSpec) -> None:
         reach = math.inf
     c1, c2 = float(config.c1), float(config.c2)
     if not 2 * (cap + 2 * (c1 + c2) * reach) < np.finfo(float).max:
+        # str() refuses an int of more than 4300 digits, so a huge budget is named by its size.
+        budget = iterations if iterations < 10**16 else f"~10**{math.log10(iterations):.0f}"
         raise ConfigError(
             f"c1, c2, vmax and max_iterations let a velocity sum overflow on a box bounded "
-            f"by {bound!r}: c1={c1!r}, c2={c2!r}, vmax={cap!r}, max_iterations={iterations}"
+            f"by {bound!r}: c1={c1!r}, c2={c2!r}, vmax={cap!r}, max_iterations={budget}"
         )
 
 

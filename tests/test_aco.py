@@ -281,10 +281,9 @@ class TestTransitionWeights:
         st.data(),
     )
     def test_probabilities_come_from_the_table_row(self, seed, n, alpha, beta, decade, data):
-        # transition_probabilities weighs row ``current`` alone. It must get
-        # that row of the full table bit for bit, and so the same probabilities
-        # or the same over- or underflow error; distances far from 1 make
-        # tau**alpha * (1/d)**beta overflow or underflow on some rows.
+        # transition_probabilities must give the probabilities of the table's
+        # row ``current``, or the same over- or underflow error; distances far
+        # from 1 make tau**alpha * (1/d)**beta overflow or underflow on some rows.
         rng = np.random.default_rng(seed)
         graph = DistanceGraph(random_symmetric(rng, n, decade - 2, decade + 2))
         pheromones = PheromoneMatrix(random_symmetric(rng, n, -12.0, np.log10(5.0)))
@@ -296,8 +295,6 @@ class TestTransitionWeights:
         free[[*visited, current]] = False
 
         table_row = transition_weights(graph, pheromones, config)[current]
-        row = aco._weights(graph, pheromones, config, slice(current, current + 1))[0]
-        assert np.array_equal(row, table_row, equal_nan=True)
         outcomes = []
         for compute in (
             lambda: transition_probabilities(graph, pheromones, current, visited, config),

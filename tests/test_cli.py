@@ -12,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -402,8 +403,10 @@ GOLDEN_ACO_DIGESTS = {
 
 # sha256 of every output file of ``swarmkit run`` on PSO configs, summary.json
 # without its wall-clock lines. Sphere and Rosenbrock use only +, -, * and
-# sums, which give the same bits on any CPU; Rastrigin's cos may not. The
-# last config stops both seeds early on target_fitness.
+# sums, which give the same bits on any CPU. Rastrigin also calls cos, which
+# numpy 2 takes from the C library at every SIMD level; numpy 1.x may route
+# it to a kernel of its own, so that entry is checked on numpy 2 only. The
+# sphere config with a target_fitness stops both seeds early.
 GOLDEN_PSO_DIGESTS = {
     "problem=sphere\ndim=4\nswarm_size=6\nmax_iterations=40\nseeds=1..2\n": {
         "summary.json": "d22e84944a048b306a75041ebe308434f5db340d2dc0f2c4ebfde095c50c8e22",
@@ -422,6 +425,11 @@ GOLDEN_PSO_DIGESTS = {
         "trace_seed4.csv": "83973220474bd96729fa6c575ea9fb6341a2f96ebcb61523b20699b1c949ec87",
         "trace_seed9.csv": "ee6bec9d63ecb19892956f89178b5d25fee4fee0f830a53576eacd2d96d16814",
     },
+    "problem=rastrigin\ndim=3\nswarm_size=6\nmax_iterations=40\nseeds=1..2\n": {
+        "summary.json": "96e49595a6d2bb56a5fb5c4808c135347d931fea280edfd2dd8d046f9ddccf1f",
+        "trace_seed1.csv": "7ef15029bfec7fd5cefa18bb446c2837bd02bfaf3af4c267080d4119a1312dfe",
+        "trace_seed2.csv": "010920edef565955cab4045044e94f565006a51b84592b60db7654e62dbb24fb",
+    },
 }
 
 
@@ -434,6 +442,49 @@ def output_digests(out_dir: Path) -> dict:
             data = re.sub(rb'\n *"wall_clock_seconds": [^\n]*', b"", data)
         digests[path.name] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+def unpinned_reason(extra: str):
+    """Why this numpy's bytes for a pinned config are not checked, or None."""
+    if "rastrigin" in extra and np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        return "numpy 1.x may compute float64 cos with a kernel of its own; pinned on numpy 2"
+    return None
+
+
+def pinned_digests(algorithm: str, extra: str) -> dict:
+    """Digests of ``swarmkit run`` on a pinned config, run in the current directory."""
+    if algorithm == "aco":
+        instance = random_tsp_instance(12, derive_stream(2024, 0))
+        Path("cities12.txt").write_text(serialize_tsp_instance(instance))
+        text = "algorithm=aco\nproblem=cities12.txt\nmax_iterations=15\n" + extra
+    else:
+        text = "algorithm=pso\n" + extra
+    Path("cfg.txt").write_text(text)
+    assert main(["run", "cfg.txt", "--output", "out"]) == 0
+    return output_digests(Path("out"))
+
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH
+    from numpy._core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__ as CPU_DISPATCH
+    from numpy.core._multiarray_umath import __cpu_features__ as CPU_FEATURES
+
+# Runs the pinned configs in argv[2] (JSON [algorithm, extra] pairs), each in
+# its own directory under argv[1], and prints numpy's CPU features and the
+# digests as one JSON line.
+DISPATCH_CHILD = """
+import json, os, sys
+import test_cli
+
+digests = []
+for i, (algorithm, extra) in enumerate(json.loads(sys.argv[2])):
+    os.mkdir(f"{sys.argv[1]}/{i}")
+    os.chdir(f"{sys.argv[1]}/{i}")
+    digests.append(test_cli.pinned_digests(algorithm, extra))
+print(json.dumps({"features": test_cli.CPU_FEATURES, "digests": digests}))
+"""
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -674,20 +725,51 @@ print(*[m for m in heavy if m in sys.modules])
     @pytest.mark.parametrize("extra", sorted(GOLDEN_ACO_DIGESTS))
     def test_aco_output_bytes_are_pinned(self, extra, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        instance = random_tsp_instance(12, derive_stream(2024, 0))
-        (tmp_path / "cities12.txt").write_text(serialize_tsp_instance(instance))
-        (tmp_path / "cfg.txt").write_text(
-            "algorithm=aco\nproblem=cities12.txt\nmax_iterations=15\n" + extra
-        )
-        assert main(["run", "cfg.txt", "--output", "out"]) == 0
-        assert output_digests(tmp_path / "out") == GOLDEN_ACO_DIGESTS[extra]
+        assert pinned_digests("aco", extra) == GOLDEN_ACO_DIGESTS[extra]
 
     @pytest.mark.parametrize("extra", sorted(GOLDEN_PSO_DIGESTS))
     def test_pso_output_bytes_are_pinned(self, extra, tmp_path, monkeypatch):
+        if reason := unpinned_reason(extra):
+            pytest.skip(reason)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "cfg.txt").write_text("algorithm=pso\n" + extra)
-        assert main(["run", "cfg.txt", "--output", "out"]) == 0
-        assert output_digests(tmp_path / "out") == GOLDEN_PSO_DIGESTS[extra]
+        assert pinned_digests("pso", extra) == GOLDEN_PSO_DIGESTS[extra]
+
+
+class TestDispatchLevels:
+    """The pinned bytes at each SIMD level numpy dispatches below this CPU's own."""
+
+    @pytest.mark.parametrize("level", CPU_DISPATCH)
+    def test_pinned_bytes_below_the_level(self, level, tmp_path):
+        # numpy runs each kernel at the highest dispatched target the CPU has, so
+        # switching off ``level`` and every later target runs the one below it.
+        if not CPU_FEATURES[level]:
+            pytest.skip(f"this CPU lacks {level}, so numpy never runs its kernels here")
+        later = CPU_DISPATCH[CPU_DISPATCH.index(level) :]
+        disabled = [name for name in later if CPU_FEATURES[name]]
+        pinned = [
+            (algorithm, extra, digests)
+            for algorithm, table in (("aco", GOLDEN_ACO_DIGESTS), ("pso", GOLDEN_PSO_DIGESTS))
+            for extra, digests in table.items()
+            if not unpinned_reason(extra)
+        ]
+        tests = Path(__file__).resolve().parent
+        env = {
+            **os.environ,
+            "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+            "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")]),
+        }
+        configs = json.dumps([[algorithm, extra] for algorithm, extra, _ in pinned])
+        result = subprocess.run(
+            [sys.executable, "-c", DISPATCH_CHILD, str(tmp_path), configs],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert [name for name in disabled if report["features"][name]] == []
+        assert report["digests"] == [digests for _, _, digests in pinned]
 
 
 class TestMain:

@@ -860,9 +860,10 @@ class TestVelocityEnvelope:
             (8e307, 50, dict()),  # a box whose pbest - x overflows
             (5.12, 10, dict(c1=1e308, c2=1e308)),
             (5.12, 10**400, dict()),  # beyond the float range: no run could finish
+            (5.12, 10**5000, dict()),  # beyond what str() prints of an int
             (1.0, 30, dict(c1=0.0, c2=0.0, vmax=8e307)),  # 0 * inf in the envelope is NaN
         ],
-        ids=["wide-box", "c1-c2", "budget-beyond-float", "nan-envelope"],
+        ids=["wide-box", "c1-c2", "budget-beyond-float", "budget-beyond-str", "nan-envelope"],
     )
     def test_refuses_before_the_first_evaluation(self, half_range, budget, coefficients):
         def evaluate(x):

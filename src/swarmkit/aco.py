@@ -299,7 +299,8 @@ def deposit(
     rows = np.stack([nodes, nxt], axis=2).ravel()
     cols = np.stack([nxt, nodes], axis=2).ravel()
     gains = np.array([config.q / tour.length for tour in tours])
-    np.add.at(tau, (rows, cols), np.repeat(gains, 2 * pheromones.n))
+    with np.errstate(over="ignore"):  # an overflow is inf, which PheromoneMatrix refuses
+        np.add.at(tau, (rows, cols), np.repeat(gains, 2 * pheromones.n))
     return PheromoneMatrix(tau)
 
 

@@ -25,6 +25,8 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Union, get_args, get_type_hints
 
+import numpy as np
+
 from .aco import AcoConfig, optimize_aco
 from .core import (
     _U64_MAX,
@@ -281,7 +283,9 @@ def _run_single(config: ExperimentConfig, problem, seed: int, out_dir: str) -> d
         def writer(entry: TraceEntry) -> None:
             fh.write(_trace_row(entry) + "\n")
 
-        trace = optimizer(problem, config.engine, seed, on_iteration=writer)[-1]
+        # An overflowing fitness is tallied and never wins: no warning, held once per seed.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = optimizer(problem, config.engine, seed, on_iteration=writer)[-1]
     return {
         "seed": seed,
         "best_fitness": trace.best_fitness,
@@ -297,17 +301,18 @@ def run_experiment(
 ) -> RunSummary:
     """One run per seed; writes per-seed traces plus summary.json.
 
-    The problem is resolved once, before the first seed, so a missing or
-    malformed instance fails before any worker starts. Seeds may execute in
-    parallel worker processes, at most one per seed; results and files are
-    identical for any worker count because each run is fully isolated.
+    The problem is resolved once, before the output directory is created, so
+    a missing or malformed instance fails before any worker starts and leaves
+    nothing behind. Seeds may execute in parallel worker processes, at most
+    one per seed; results and files are identical for any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out = Path(output_dir if output_dir is not None else (config.output or DEFAULT_OUTPUT_DIR))
+    problem = _problem(config)
     out.mkdir(parents=True, exist_ok=True)
 
-    run = functools.partial(_run_single, config, _problem(config), out_dir=str(out))
+    run = functools.partial(_run_single, config, problem, out_dir=str(out))
     if workers == 1 or len(config.seeds) == 1:
         results = list(map(run, config.seeds))
     else:
@@ -412,7 +417,3 @@ def main(argv=None) -> int:
     except (ConfigError, ContractError, OSError, BrokenExecutor, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -555,6 +555,12 @@ class TestDeposit:
         with pytest.raises(ValueError, match="pheromone levels must be finite"):
             deposit(pheromones, [Tour((0, 1, 2, 3), 1e-320)], aco_config())
 
+    def test_overflowing_sum_fails_without_a_floating_point_warning(self, square_graph):
+        # Two finite gains of 1e308 on one edge sum to inf, inside np.add.at.
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ValueError, match="pheromone levels must be finite"):
+            deposit(pheromones, [Tour((0, 1, 2, 3), 1.0)] * 2, aco_config(q=1e308))
+
     def test_input_matrix_is_not_mutated(self, square_graph):
         pheromones = initialize_pheromones(square_graph, aco_config())
         before = pheromones.tau.copy()

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNIT_SQUARE_TEXT
@@ -406,7 +407,10 @@ GOLDEN_ACO_DIGESTS = {
 # sums, which give the same bits on any CPU. Rastrigin also calls cos, which
 # numpy 2 takes from the C library at every SIMD level; numpy 1.x may route
 # it to a kernel of its own, so that entry is checked on numpy 2 only. The
-# sphere config with a target_fitness stops both seeds early.
+# sphere config with a target_fitness stops both seeds early. A last-ulp
+# change in an objective rarely moves the best fitness of a small config; the
+# dim-50 sphere config is large enough to show one (with sphere computed
+# through pow, only its bytes differed at the lower SIMD levels).
 GOLDEN_PSO_DIGESTS = {
     "problem=sphere\ndim=4\nswarm_size=6\nmax_iterations=40\nseeds=1..2\n": {
         "summary.json": "d22e84944a048b306a75041ebe308434f5db340d2dc0f2c4ebfde095c50c8e22",
@@ -429,6 +433,11 @@ GOLDEN_PSO_DIGESTS = {
         "summary.json": "96e49595a6d2bb56a5fb5c4808c135347d931fea280edfd2dd8d046f9ddccf1f",
         "trace_seed1.csv": "7ef15029bfec7fd5cefa18bb446c2837bd02bfaf3af4c267080d4119a1312dfe",
         "trace_seed2.csv": "010920edef565955cab4045044e94f565006a51b84592b60db7654e62dbb24fb",
+    },
+    "problem=sphere\ndim=50\nswarm_size=10\nmax_iterations=60\nseeds=1..2\n": {
+        "summary.json": "9d4aab90d443a77036297290d8ede8c68182b609c539944113c2d2a320566bfa",
+        "trace_seed1.csv": "26f5b2d44a5f6f53e8ab8d442473596021dc781d578dbeeb5a337a4ce346d091",
+        "trace_seed2.csv": "bbb8b3455b4fad68a6faa50c9f937dd80d3927c72ceb6095de7cfb4a57cf7517",
     },
 }
 
@@ -707,7 +716,7 @@ print(*[m for m in heavy if m in sys.modules])
         config = parse_config(small_aco_text(str(tmp_path / "missing.txt")))
         with pytest.raises(OSError):
             run_experiment(config, output_dir=str(tmp_path / "out"))
-        assert list((tmp_path / "out").iterdir()) == []
+        assert not (tmp_path / "out").exists()
 
     def test_no_temp_files_after_success(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1..2"))
@@ -772,6 +781,151 @@ class TestDispatchLevels:
         assert report["digests"] == [digests for _, _, digests in pinned]
 
 
+def write(path, content) -> None:
+    """Write bytes as they are and text as UTF-8, whatever the locale."""
+    Path(path).write_bytes(content if isinstance(content, bytes) else content.encode())
+
+
+# One row per refused input: an id that starts with the name of the test the
+# row once was (so -k finds it), cfg.txt and cities.txt (None: no such file),
+# the commands, and the one stderr line each prints. validate and run read
+# cfg.txt, brute-force reads cities.txt; a line ending in "..." is a prefix.
+BOTH, ALL = ("validate", "run"), ("validate", "run", "brute-force")
+ARGUMENTS = {
+    "validate": ["cfg.txt"], "run": ["cfg.txt", "--output", "out"], "brute-force": ["cities.txt"]
+}
+PSO, ACO, SQUARE = small_pso_text(), small_aco_text("cities.txt"), UNIT_SQUARE_TEXT
+TRUNCATED, FAR_APART = "4\n0 0.0 0.0\n1 0.0 1.0\n", "3\n0 0.0 0.0\n1 1e200 0.0\n2 0.0 1.0\n"
+UNDECODABLE = b"\xff" + SQUARE.encode()
+NO_FILE = "error: [Errno 2] No such file or directory: "
+ENVELOPE = "error: c1, c2, vmax and max_iterations let a velocity sum overflow on a box bounded by"
+REFUSALS = [
+    ("test_validate_reports_single_line_error", PSO + "frobnicate=1\n", None, BOTH,
+     "error: unknown key frobnicate"),
+    *[
+        (f"test_non_finite_tunable_fails_validate_and_run_alike-{algorithm}-{setting}",
+         (PSO if algorithm == "pso" else ACO) + setting + "\n", SQUARE, BOTH,
+         "error: {} must be finite, got {}".format(*setting.split("=")))
+        for algorithm, setting in [
+            ("pso", "vmax=nan"), ("pso", "c1=nan"), ("pso", "c2=-inf"), ("aco", "tau0=inf"),
+            ("pso", "target_fitness=nan"), ("aco", "alpha=nan"), ("aco", "beta=inf"),
+            ("aco", "q=inf"), ("aco", "tau_floor=nan"),
+        ]
+    ],
+    ("test_validate_reads_the_aco_instance-missing", ACO, None, ALL, NO_FILE + "'cities.txt'"),
+    ("test_validate_reads_the_aco_instance-truncated", ACO, TRUNCATED, ALL,
+     "error: expected 4 points, found 2"),
+    ("test_undecodable_config_reports_one_line", b"# caf\xe9\n" + PSO.encode(), None, BOTH,
+     "error: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+     "invalid continuation byte in cfg.txt"),
+    ("test_undecodable_instance_reports_one_line", ACO, UNDECODABLE, ALL,
+     "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte in cities.txt"),
+    ("test_benchmark_dimension_fails_validate_and_run_alike",
+     PSO.replace("sphere", "rosenbrock").replace("dim=3", "dim=1"), None, BOTH,
+     "error: rosenbrock needs dimension >= 2, got 1"),
+    # numpy cannot size the first two; it refuses to allocate the third (728 TiB) at
+    # once, in words that differ between numpy versions.
+    *[
+        (f"test_huge_dim_reports_one_line-{dim}", PSO.replace("dim=3", f"dim={dim}"), None, BOTH,
+         f"error: dim {dim} is too large...")
+        for dim in (10**22, 2**63 - 1, 10**14)
+    ],
+    # numpy cannot size the first count; it refuses to allocate the second (1.42 PiB) at once.
+    *[
+        (f"test_node_count_numpy_cannot_size_reports_one_line-{count}", ACO,
+         f"{count}\n0 0.0 0.0\n", ALL, f"error: expected {count} points, found 1")
+        for count in (10**30, 10**14)
+    ],
+    ("test_overflowing_vmax_reports_one_line", PSO + "vmax=1e308\n", None, BOTH,
+     "error: vmax is too large: 2 * vmax overflows, got 1e+308"),
+    ("test_overflowing_velocity_sum_reports_one_line-c1-c2",
+     PSO.replace("dim=3", "dim=2\nc1=1e308\nc2=1e308"), None, BOTH,
+     ENVELOPE + " 5.12: c1=1e+308, c2=1e+308, vmax=5.12, max_iterations=10"),
+    ("test_overflowing_velocity_sum_reports_one_line-max_iterations",
+     PSO.replace("max_iterations=10", f"max_iterations={10**400}"), None, BOTH,
+     ENVELOPE + " 5.12: c1=2.0, c2=2.0, vmax=5.12, max_iterations=~10**400"),
+    ("test_huge_coordinates_report_one_line", ACO, FAR_APART, ALL,
+     "error: distances must be finite"),
+    ("test_validate_missing_file", None, None, BOTH, NO_FILE + "'cfg.txt'"),
+    ("test_run_rejects_bad_workers", small_pso_text(seeds="1"), None, ["run --workers 0"],
+     "error: workers must be >= 1, got 0"),
+    ("test_brute_force_missing_file", None, None, ["brute-force"], NO_FILE + "'cities.txt'"),
+    ("test_brute_force_oversized_instance", None,
+     "12\n" + "".join(f"{i} {float(i)!r} {float(i * i)!r}\n" for i in range(12)), ["brute-force"],
+     "error: brute force refused: 12 nodes exceeds the limit of 11"),
+]
+
+# validate accepts this vmax; with it a particle flies far enough out that sphere
+# overflows to inf, and run still exits 0 without a numpy warning.
+OVERFLOWING_OBJECTIVE = (
+    "algorithm=pso\nproblem=sphere\ndim=2\nswarm_size=3\nmax_iterations=3\nseeds=1\nvmax=1e160\n"
+)
+# What only a run can refuse: the sums and levels its pheromones reach.
+RUN_TIME_REFUSALS = (
+    "error: transition weights from node",
+    "error: pheromone levels must be finite",
+)
+
+# Adversarial config values, and the broken instances an ACO config may name.
+ADVERSARIAL = ["0", "-0", "1e308", "-1e308", "5e-324", "nan", "inf", "-inf", str(2**63)]
+ADVERSARIAL += [str(10**30), "", "é", "1..0", "3,3"]
+BROKEN_INSTANCES = {
+    "pair.txt": "2\n0 0.0 0.0\n1 1.0 0.0\n",
+    "truncated.txt": TRUNCATED,
+    "latin1.txt": UNDECODABLE,
+    "far.txt": FAR_APART,
+    "nodes.txt": f"{10**30}\n0 0.0 0.0\n",
+}
+REQUIRED_KEYS = ("problem", "seeds", "max_iterations", "dim", "swarm_size")
+# Small valid values and adversarial ones per key; other keys are floats. The
+# keys that size a run or a loop get only small values or ones that are
+# refused before anything is allocated or run.
+REFUSED_COUNTS = [value for value in ADVERSARIAL if value not in (str(2**63), str(10**30))]
+HUGE_DIMS = [str(10**14), str(2**63 - 1), str(10**22)]  # numpy refuses each before allocating
+FUZZ_VALUES = {
+    "problem": (["sphere", "rastrigin", "rosenbrock"], ADVERSARIAL),
+    "seeds": (["1", "2", "1..2", "1,2"], [*ADVERSARIAL, str(2**64)]),
+    "max_iterations": (["1", "2", "3"], REFUSED_COUNTS),
+    "swarm_size": (["1", "2", "3"], REFUSED_COUNTS),
+    "num_ants": (["1", "2", "3"], REFUSED_COUNTS),
+    "ring_k": (["1", "2"], [*REFUSED_COUNTS, str(10**30)]),
+    "dim": ([str(d) for d in range(1, 7)], [*REFUSED_COUNTS, *HUGE_DIMS]),
+    "topology": (["global", "ring"], ADVERSARIAL),
+}
+ACO_PROBLEMS = (["square.txt"], ["missing.txt", *BROKEN_INSTANCES])
+PSO_BUDGETS = [str(10**400), "1" + "0" * 5000]  # the velocity envelope refuses both
+
+
+@st.composite
+def fuzzed_configs(draw) -> str:
+    """A config whose values are adversarial an eighth of the time, and four times
+    in seven with an unknown, foreign, duplicate or missing line."""
+    algorithm, other = draw(st.permutations(["pso", "aco"]))
+    lines = [f"algorithm={algorithm}"]
+    for key in cli._keys(algorithm):
+        if key == "algorithm" or not (key in REQUIRED_KEYS or draw(st.booleans())):
+            continue
+        valid, bad = FUZZ_VALUES.get(key, (["0.5", "1", "2"], ADVERSARIAL))
+        if (algorithm, key) == ("aco", "problem"):
+            valid, bad = ACO_PROBLEMS
+        elif (algorithm, key) == ("pso", "max_iterations"):
+            bad = bad + PSO_BUDGETS
+        pool = bad if draw(st.integers(0, 7)) == 0 else valid
+        lines.append(f"{key}={draw(st.sampled_from(pool))}")
+    edit = draw(st.sampled_from(["none", "none", "none", "unknown", "other", "duplicate", "drop"]))
+    if edit == "unknown":
+        lines.append("frobnicate=1")
+    elif edit == "other":
+        foreign = sorted(cli._keys(other).keys() - cli._keys(algorithm))
+        lines.append(draw(st.sampled_from(foreign)) + "=1")
+    elif edit == "duplicate":
+        lines.append(draw(st.sampled_from(lines)))
+    elif edit == "drop":
+        required = [line for line in lines if line.split("=")[0] in REQUIRED_KEYS]
+        lines.remove(draw(st.sampled_from(required)))
+    return "\n".join(lines) + "\n"
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
@@ -779,41 +933,28 @@ class TestMain:
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
-    def test_validate_reports_single_line_error(self, tmp_path, capsys):
-        path = tmp_path / "cfg.txt"
-        path.write_text(small_pso_text(extra="frobnicate=1\n"))
-        assert main(["validate", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: unknown key frobnicate\n"
-
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize(
-        "algorithm, setting",
+        "config, cities, command, line",
         [
-            ("pso", "vmax=nan"),
-            ("pso", "c1=nan"),
-            ("pso", "c2=-inf"),
-            ("pso", "target_fitness=nan"),
-            ("aco", "tau0=inf"),
-            ("aco", "alpha=nan"),
-            ("aco", "beta=inf"),
-            ("aco", "q=inf"),
-            ("aco", "tau_floor=nan"),
+            pytest.param(config, cities, command, line, id=f"{name}-{command.split()[0]}")
+            for name, config, cities, commands, line in REFUSALS
+            for command in commands
         ],
     )
-    def test_non_finite_tunable_fails_validate_and_run_alike(
-        self, algorithm, setting, tmp_path, capsys
+    def test_refusal_is_one_error_line(
+        self, config, cities, command, line, tmp_path, capsys, monkeypatch
     ):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(
-            small_pso_text(extra=setting + "\n")
-            if algorithm == "pso"
-            else small_aco_text("square.txt", setting + "\n")
-        )
-        key = setting.partition("=")[0]
-        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {key} must be finite, got ") and err.count("\n") == 1
+        monkeypatch.chdir(tmp_path)
+        for path, content in (("cfg.txt", config), ("cities.txt", cities)):
+            if content is not None:
+                write(path, content)
+        name, *flags = command.split()
+        assert main([name, *ARGUMENTS[name], *flags]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n")) == ("", 1)
+        assert err.startswith(line[:-3]) if line.endswith("...") else err == line + "\n"
+        assert not Path("out").exists()
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     def test_run_reports_degenerate_aco_weights(self, tmp_path, capsys):
@@ -830,6 +971,41 @@ class TestMain:
         assert err.startswith("error: transition weights from node 0 sum to inf")
         assert err.count("\n") == 1
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print more lines
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=fuzzed_configs())
+    @example(text=small_aco_text("square.txt", "tau0=1e308\n"))
+    @example(text=small_aco_text("square.txt", "q=1e308\nrho=0\n"))
+    @example(text=OVERFLOWING_OBJECTIVE)
+    def test_every_config_runs_or_is_refused_in_one_line(self, text, tmp_path, capsys, monkeypatch):
+        # Either validate and run refuse alike, in one line and with no output
+        # directory, or run writes every file and nothing to stderr; only
+        # RUN_TIME_REFUSALS may differ.
+        monkeypatch.chdir(tmp_path)
+        shutil.rmtree("out", ignore_errors=True)
+        for path, content in [("square.txt", SQUARE), *BROKEN_INSTANCES.items(), ("cfg.txt", text)]:
+            write(path, content)
+        results = []
+        for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out", "--workers=1"]):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 1)
+            if code == 1:
+                assert out == "" and err.count("\n") == 1 and err.startswith("error:"), err
+            else:
+                assert err == "", err  # not even a numpy warning
+            assert not list(tmp_path.rglob("*.tmp"))
+            results.append((code, err))
+        (validated, refusal), (ran, run_error) = results
+        if validated == 1:
+            assert (ran, run_error) == (1, refusal) and not Path("out").exists()
+        elif ran == 0:
+            traces = [f"trace_seed{seed}.csv" for seed in parse_config(text).seeds]
+            assert {path.name for path in Path("out").iterdir()} == {"summary.json", *traces}
+        else:
+            assert run_error.startswith(RUN_TIME_REFUSALS), run_error
+            assert list(Path("out").iterdir()) == []
 
     def test_broken_worker_pool_reports_single_line(self, tmp_path, capsys, monkeypatch):
         class BrokenPool:
@@ -851,25 +1027,6 @@ class TestMain:
         assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "2"]) == 1
         assert capsys.readouterr().err == "error: a worker process died\n"
 
-    @pytest.mark.parametrize(
-        "instance_text, message",
-        [
-            (None, "error: [Errno 2] No such file or directory: 'nowhere.txt'\n"),
-            ("4\n0 0.0 0.0\n1 0.0 1.0\n", "error: expected 4 points, found 2\n"),
-        ],
-        ids=["missing", "truncated"],
-    )
-    def test_validate_reads_the_aco_instance(
-        self, instance_text, message, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.chdir(tmp_path)
-        if instance_text is not None:
-            Path("nowhere.txt").write_text(instance_text)
-        Path("cfg.txt").write_text(small_aco_text("nowhere.txt"))
-        for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out"]):
-            assert main(argv) == 1
-            assert capsys.readouterr() == ("", message)
-
     def test_missing_instance_fails_before_a_pool_starts(self, tmp_path, capsys, monkeypatch):
         pools = []
 
@@ -885,17 +1042,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
         assert pools == []
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_undecodable_config_reports_one_line(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_bytes(b"# caf\xe9\n" + small_pso_text().encode())
-        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9")
-            assert err.count("\n") == 1
-            assert err.endswith(f" in {cfg}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_config_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -909,18 +1056,6 @@ class TestMain:
             timeout=120,
         )
         assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
-
-    def test_undecodable_instance_reports_one_line(self, tmp_path, capsys):
-        instance = tmp_path / "cities.txt"
-        instance.write_bytes(b"\xff" + UNIT_SQUARE_TEXT.encode())
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_aco_text(str(instance)))
-        for argv in (["brute-force", str(instance)], ["run", str(cfg), "--output", str(tmp_path)]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
-            assert err.count("\n") == 1
-            assert err.endswith(f" in {instance}\n")
 
     @pytest.mark.parametrize(
         "message, line",
@@ -941,13 +1076,6 @@ class TestMain:
             assert main(argv) == 1
             assert capsys.readouterr() == ("", line)
 
-    def test_benchmark_dimension_fails_validate_and_run_alike(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_pso_text().replace("sphere", "rosenbrock").replace("dim=3", "dim=1"))
-        for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
-            assert main(argv) == 1
-            assert capsys.readouterr() == ("", "error: rosenbrock needs dimension >= 2, got 1\n")
-
     def test_overflowing_weight_sum_reports_one_line(self, tmp_path):
         # Every weight is finite and only their sum overflows. pytest turns
         # RuntimeWarning into an error, so run the CLI where numpy's warning
@@ -966,80 +1094,6 @@ class TestMain:
         assert result.stderr.startswith("error: transition weights from node 0 sum to inf")
         assert result.stderr.count("\n") == 1
 
-    # numpy cannot size the first two; it refuses to allocate the third (728 TiB) at once.
-    @pytest.mark.parametrize("dim", ["10000000000000000000000", str(2**63 - 1), "100000000000000"])
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_huge_dim_reports_one_line(self, command, dim, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_pso_text().replace("dim=3", f"dim={dim}"))
-        argv = [command, str(cfg), *(["--output", str(tmp_path)] if command == "run" else [])]
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"error: dim {dim} is too large")
-        assert err.count("\n") == 1
-
-    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would print more lines
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_overflowing_vmax_reports_one_line(self, command, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_pso_text(extra="vmax=1e308\n"))
-        out_dir = tmp_path / "results"
-        argv = [command, str(cfg), *(["--output", str(out_dir)] if command == "run" else [])]
-        assert main(argv) == 1
-        message = "error: vmax is too large: 2 * vmax overflows, got 1e+308\n"
-        assert capsys.readouterr() == ("", message)
-        assert not out_dir.exists()
-
-    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would print more lines
-    @pytest.mark.parametrize(
-        "line, replacement",
-        [("dim=3", "dim=2\nc1=1e308\nc2=1e308"), ("max_iterations=10", f"max_iterations={10**400}")],
-        ids=["c1-c2", "max_iterations"],
-    )
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_overflowing_velocity_sum_reports_one_line(
-        self, command, line, replacement, tmp_path, capsys
-    ):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_pso_text().replace(line, replacement))
-        out_dir = tmp_path / "results"
-        argv = [command, str(cfg), *(["--output", str(out_dir)] if command == "run" else [])]
-        assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: c1, c2, vmax and max_iterations let a velocity sum overflow")
-        assert not out_dir.exists()
-
-    # numpy cannot size the first count; it refuses to allocate the second (1.42 PiB) at once.
-    @pytest.mark.parametrize("count", [10**30, 10**14])
-    @pytest.mark.parametrize("command", ["brute-force", "validate", "run"])
-    def test_node_count_numpy_cannot_size_reports_one_line(self, command, count, tmp_path, capsys):
-        instance = tmp_path / "big.txt"
-        instance.write_text(f"{count}\n0 0.0 0.0\n")
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_aco_text(str(instance)))
-        argv = {
-            "brute-force": [command, str(instance)],
-            "validate": [command, str(cfg)],
-            "run": [command, str(cfg), "--output", str(tmp_path / "out")],
-        }[command]
-        assert main(argv) == 1
-        assert capsys.readouterr() == ("", f"error: expected {count} points, found 1\n")
-
-    @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
-    @pytest.mark.parametrize("command", ["validate", "brute-force"])
-    def test_huge_coordinates_report_one_line(self, command, tmp_path, capsys):
-        instance = tmp_path / "huge.txt"
-        instance.write_text("3\n0 0.0 0.0\n1 1e200 0.0\n2 0.0 1.0\n")
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_aco_text(str(instance)))
-        assert main([command, str(cfg if command == "validate" else instance)]) == 1
-        assert capsys.readouterr() == ("", "error: distances must be finite\n")
-
-    def test_validate_missing_file(self, tmp_path, capsys):
-        assert main(["validate", str(tmp_path / "nope.txt")]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
     def test_run_writes_outputs_and_reports(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_pso_text(seeds="1..2"))
@@ -1050,12 +1104,6 @@ class TestMain:
         assert "aggregate min=" in captured
         assert (out_dir / "summary.json").exists()
 
-    def test_run_rejects_bad_workers(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_pso_text(seeds="1"))
-        assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "0"]) == 1
-        assert "workers" in capsys.readouterr().err
-
     def test_brute_force_prints_tour_and_length(self, tmp_path, capsys):
         instance = tmp_path / "square.txt"
         instance.write_text(UNIT_SQUARE_TEXT)
@@ -1063,14 +1111,3 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "tour: 0 1 2 3"
         assert out[1] == "length: 4.0"
-
-    def test_brute_force_missing_file(self, tmp_path, capsys):
-        assert main(["brute-force", str(tmp_path / "nope.txt")]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_brute_force_oversized_instance(self, tmp_path, capsys):
-        lines = ["12"] + [f"{i} {float(i)!r} {float(i * i)!r}" for i in range(12)]
-        instance = tmp_path / "big.txt"
-        instance.write_text("\n".join(lines) + "\n")
-        assert main(["brute-force", str(instance)]) == 1
-        assert "exceeds the limit" in capsys.readouterr().err

@@ -212,9 +212,6 @@ def parse_config(text: str) -> ExperimentConfig:
         topologies = {"global": Global(), "ring": Ring(ring_k)}
         if topology not in topologies:
             raise ConfigError(f"topology must be global or ring, got {topology!r}")
-        if topology == "global" and "ring_k" in pairs:
-            # The summary echoes ring_k under global too, so range-check it there as well.
-            PsoConfig(termination=termination, topology=topologies["ring"], **values)
         engine = PsoConfig(termination=termination, topology=topologies[topology], **values)
         _check_envelope(engine, spec)
     return ExperimentConfig(problem, seeds, engine, dim, output, ring_k)

@@ -92,8 +92,8 @@ class TspInstance:
         coords = np.asarray(coordinates, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ConfigError(f"coordinates must have shape (n, 2), got {coords.shape}")
-        # Huge coordinates overflow to inf here; DistanceGraph rejects that with a ConfigError.
-        with np.errstate(over="ignore"):
+        # Huge or infinite coordinates give inf or NaN here; DistanceGraph rejects both.
+        with np.errstate(over="ignore", invalid="ignore"):
             delta = coords[:, None, :] - coords[None, :, :]
             distance = np.sqrt((delta**2).sum(axis=-1))
         coords.flags.writeable = False

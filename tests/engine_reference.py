@@ -1,32 +1,87 @@
-"""Whole-run reference engines: ``swarmkit.optimize`` and ``swarmkit.optimize_aco``
-as straight per-agent loops.
+"""Reference engines: ``swarmkit.step``, ``swarmkit.optimize`` and
+``swarmkit.optimize_aco`` as straight per-agent loops.
 
-Both run over the same streams as the library: ``derive_stream(seed, 0)``
+They run over the same streams as the library: ``derive_stream(seed, 0)``
 initializes the swarm, and ``derive_stream(seed, 1 + k)`` belongs to particle
 or ant ``k``. They take one scalar draw at a time and move one agent at a
-time. The PSO guide and pbest rules come from ``pso_rule_reference``, and the
-tour, length and deposit loops from ``aco_reference``. The velocity rule, its
-clamp (``np.clip``), the weight table, the evaporation, the trace fold and
-the stopping rule are written out here. No private engine body is imported,
-so a change to the library's array forms cannot carry these loops along with
-it. The differential tests in ``test_pso.py`` and ``test_aco.py`` hold whole
-runs of the two to the same bits.
+time. ``step`` keeps a pbest on a strict ``fitness_key`` improvement
+(``update_pbest``), picks each guide with ``min`` over the ring neighbors
+(``select_guide``) and clips each velocity element with ``np.clip``;
+``optimize`` initializes the swarm, loops over ``step`` and folds the trace.
+The tour, length and deposit loops come from ``aco_reference``, and the
+weight table, the evaporation and the stopping rule are written out here.
+No private engine body is imported, so a change to the library's array
+forms cannot carry these loops along with it. The differential tests in
+``test_pso.py`` and ``test_aco.py`` hold single steps and whole runs of the
+two to the same bits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
 import aco_reference
-import pso_rule_reference
-from swarmkit import Particle, RunTrace, TraceEntry, derive_stream, fitness_key
+from swarmkit import (
+    ContractError,
+    Global,
+    Particle,
+    RunTrace,
+    SwarmState,
+    TraceEntry,
+    derive_stream,
+    fitness_key,
+)
 
 
 def _uniforms(stream, n):
     return [stream.next_uniform() for _ in range(n)]
+
+
+def _vmax(objective, config):
+    """The velocity cap per dimension: ``config.vmax``, or half the search range."""
+    d = objective.dimension
+    if config.vmax is None:
+        lower, upper = list(objective.lower_bound), list(objective.upper_bound)
+        return [0.5 * (upper[i] - lower[i]) for i in range(d)]
+    return [float(v) for v in np.broadcast_to(config.vmax, (d,))]
+
+
+def state_of(particles, non_finite_evals=0):
+    """Swarm holding ``particles`` as rows; gbest is the best pbest, ties to the lowest index."""
+    best = min(range(len(particles)), key=lambda i: (fitness_key(particles[i].pbest_fitness), i))
+    return SwarmState(
+        position=np.stack([p.position for p in particles]),
+        velocity=np.stack([p.velocity for p in particles]),
+        pbest_position=np.stack([p.pbest_position for p in particles]),
+        pbest_fitness=np.array([p.pbest_fitness for p in particles]),
+        gbest_position=particles[best].pbest_position,
+        gbest_fitness=particles[best].pbest_fitness,
+        non_finite_evals=non_finite_evals,
+    )
+
+
+def select_guide(state, particle_index, topology):
+    """gbest, or the best pbest among the 2k+1 ring neighbors, ties to the lowest index."""
+    n = len(state.pbest_fitness)
+    if not 0 <= particle_index < n:
+        raise ContractError(f"particle index {particle_index} out of range [0, {n})")
+    if isinstance(topology, Global):
+        return state.gbest_position
+    indices = sorted({(particle_index + off) % n for off in range(-topology.k, topology.k + 1)})
+    best = min(indices, key=lambda i: (fitness_key(state.pbest_fitness[i]), i))
+    return state.pbest_position[best]
+
+
+def update_pbest(particle, new_fitness):
+    """The particle with its position as pbest on strict keyed improvement, else itself."""
+    if fitness_key(new_fitness) < fitness_key(particle.pbest_fitness):
+        return dataclasses.replace(
+            particle, pbest_position=particle.position, pbest_fitness=float(new_fitness)
+        )
+    return particle
 
 
 def _velocity(particle, guide, vmax, config, stream):
@@ -40,20 +95,30 @@ def _velocity(particle, guide, vmax, config, stream):
     return velocity
 
 
-def _best_index(particles):
-    """The first particle whose pbest is smallest under ``fitness_key``."""
-    keys = [fitness_key(p.pbest_fitness) for p in particles]
-    return keys.index(min(keys))
+def step(state, objective, config, streams):
+    """Evaluate everyone and keep strict improvements, then move everyone toward their guide."""
+    vmax = _vmax(objective, config)
+    non_finite = state.non_finite_evals
+    evaluated = []
+    for particle in state.particles:
+        fitness = float(objective.evaluate(particle.position))
+        non_finite += not math.isfinite(fitness)
+        evaluated.append(update_pbest(particle, fitness))
+    swarm = state_of(evaluated)
+    moved = []
+    for k, particle in enumerate(evaluated):
+        guide = select_guide(swarm, k, config.topology)
+        velocity = _velocity(particle, guide, vmax, config, streams[k])
+        position = [x + v for x, v in zip(particle.position.tolist(), velocity)]
+        moved.append(Particle(position, velocity, particle.pbest_position, particle.pbest_fitness))
+    return state_of(moved, non_finite)
 
 
 def optimize(objective, config, seed):
     """Run the swarm until termination; returns (best position, best fitness, trace)."""
     d, n = objective.dimension, config.swarm_size
     lower, upper = list(objective.lower_bound), list(objective.upper_bound)
-    if config.vmax is None:
-        vmax = [0.5 * (upper[i] - lower[i]) for i in range(d)]
-    else:
-        vmax = [float(v) for v in np.broadcast_to(config.vmax, (d,))]
+    vmax = _vmax(objective, config)
 
     init = derive_stream(seed, 0)
     particles = []
@@ -67,44 +132,22 @@ def optimize(objective, config, seed):
         non_finite += not math.isfinite(fitness)
         particles.append(Particle(position, velocity, position, fitness))
 
+    state = state_of(particles, non_finite)
     streams = [derive_stream(seed, 1 + k) for k in range(n)]
-    evaluations = n
     entries = []
     while True:
-        # Evaluate everyone at the current position and keep strict improvements.
-        evaluated = []
-        for particle in particles:
-            fitness = float(objective.evaluate(particle.position))
-            non_finite += not math.isfinite(fitness)
-            evaluated.append(pso_rule_reference.update_pbest(particle, fitness))
-        best = evaluated[_best_index(evaluated)]
-        gbest, gbest_fitness = best.pbest_position, best.pbest_fitness
-        swarm = SimpleNamespace(
-            pbest_fitness=[p.pbest_fitness for p in evaluated],
-            pbest_position=[p.pbest_position for p in evaluated],
-            gbest_position=gbest,
-        )
-        # Then move everyone toward their guide.
-        particles = []
-        for k, particle in enumerate(evaluated):
-            guide = pso_rule_reference.select_guide(swarm, k, config.topology)
-            velocity = _velocity(particle, guide, vmax, config, streams[k])
-            position = [x + v for x, v in zip(particle.position, velocity)]
-            particles.append(
-                Particle(position, velocity, particle.pbest_position, particle.pbest_fitness)
-            )
-
-        evaluations += n
-        recorded = gbest_fitness
-        if entries and not fitness_key(gbest_fitness) < fitness_key(entries[-1].best_fitness):
+        state = step(state, objective, config, streams)
+        recorded = state.gbest_fitness
+        if entries and not fitness_key(recorded) < fitness_key(entries[-1].best_fitness):
             recorded = entries[-1].best_fitness
-        entries.append(TraceEntry(len(entries), recorded, evaluations))
+        entries.append(TraceEntry(len(entries), recorded, n * (len(entries) + 2)))
         target = config.termination.target_fitness
         if len(entries) >= config.termination.max_iterations or (
             target is not None and recorded <= target
         ):
             break
-    return gbest, gbest_fitness, RunTrace(tuple(entries), non_finite)
+    trace = RunTrace(tuple(entries), state.non_finite_evals)
+    return state.gbest_position, state.gbest_fitness, trace
 
 
 def optimize_aco(graph, config, seed):

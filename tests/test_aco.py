@@ -568,27 +568,6 @@ class TestDeposit:
         assert np.array_equal(pheromones.tau, before)
 
 
-def replay_colony(graph, config, seed, iterations):
-    """Re-derive the optimizer loop from the public pieces, for comparison."""
-    num_ants = config.num_ants if config.num_ants is not None else graph.n
-    pheromones = initialize_pheromones(graph, config)
-    streams = [derive_stream(seed, 1 + k) for k in range(num_ants)]
-    best = None
-    history = []
-    for _ in range(iterations):
-        weights = transition_weights(graph, pheromones, config)
-        tours = [
-            construct_tour(graph, weights, config, streams[k], start=k % graph.n)
-            for k in range(num_ants)
-        ]
-        for tour in tours:
-            if best is None or tour.length < best.length:
-                best = tour
-        pheromones = deposit(evaporate(pheromones, config), tours, config)
-        history.append(best.length)
-    return best, history, pheromones
-
-
 class TestOptimizeAco:
     def test_best_length_is_non_increasing(self, square_graph):
         config = aco_config(termination=TerminationCriteria(max_iterations=30), num_ants=4)
@@ -607,16 +586,6 @@ class TestOptimizeAco:
         best_b, trace_b = optimize_aco(square_graph, config, seed=9)
         assert best_a == best_b
         assert trace_a == trace_b
-
-    def test_matches_manual_replay_of_public_operations(self):
-        instance = random_tsp_instance(6, derive_stream(55, 0))
-        config = aco_config(
-            termination=TerminationCriteria(max_iterations=8), num_ants=4, rho=0.4, q=2.0
-        )
-        best, trace = optimize_aco(instance.graph, config, seed=21)
-        replay_best, history, _ = replay_colony(instance.graph, config, 21, 8)
-        assert best == replay_best
-        assert [e.best_fitness for e in trace.entries] == history
 
     def test_round_robin_start_nodes_cover_the_graph(self):
         # num_ants > n wraps around: ant k starts at node k mod n. With one
@@ -646,7 +615,10 @@ class TestOptimizeAco:
         config = aco_config(
             termination=TerminationCriteria(max_iterations=25), num_ants=3, rho=0.95
         )
-        _, _, pheromones = replay_colony(instance.graph, config, seed=3, iterations=25)
+        with mock.patch.object(aco, "deposit", wraps=aco.deposit) as spy:
+            optimize_aco(instance.graph, config, seed=3)
+        assert spy.call_count == 25
+        pheromones = aco.deposit(*spy.call_args.args)  # the run's last deposit, replayed
         off_diag = ~np.eye(5, dtype=bool)
         assert (pheromones.tau[off_diag] >= config.tau_floor).all()
         assert np.isfinite(pheromones.tau).all()
@@ -854,6 +826,7 @@ class TestWholeRunReference:
         # Tour lengths are positive and finite, so == on them compares the bits.
         num_ants = data.draw(st.one_of(st.none(), st.integers(1, 2 * n)), label="num_ants")
         tau_floor = data.draw(st.sampled_from([1e-12, 0.2, 0.6]), label="tau_floor")
+        q = data.draw(st.sampled_from([1.0, 2.0, 0.37]), label="q")
         graph = random_tsp_instance(n, derive_stream(seed, 0)).graph
         config = aco_config(
             termination=TerminationCriteria(max_iterations=iterations),
@@ -862,6 +835,7 @@ class TestWholeRunReference:
             beta=beta,
             rho=rho,
             tau_floor=tau_floor,
+            q=q,
         )
         if data.draw(st.booleans(), label="stop early"):
             # A best length the run reaches, so the target is met exactly at some iteration.

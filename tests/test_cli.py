@@ -926,6 +926,102 @@ def fuzzed_configs(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+SMALL_COORDINATES = st.integers(-9, 9).map(str) | st.floats(-10.0, 10.0).map(repr)
+EXTREME_COORDINATES = ["1e308", "-1e308", "1.7976931348623157e308", "nan", "inf", "-inf", "5e-324"]
+
+
+@st.composite
+def fuzzed_instances(draw) -> bytes:
+    """An instance of 3 to 8 points, whose count line says 0, 2 or 10**30 an
+    eighth of the time. Points repeat, and coordinates are huge, tiny or not
+    finite, an eighth of the time each; four times in seven a point line is
+    truncated, has an extra field, or is missing or out of order; and an
+    eighth of the time the file holds a non-UTF-8 byte."""
+    n = draw(st.integers(3, 8))
+    count = draw(st.sampled_from([0, 2, 10**30])) if draw(st.integers(0, 7)) == 0 else n
+    points = []
+    for _ in range(n):
+        if points and draw(st.integers(0, 7)) == 0:
+            points.append(draw(st.sampled_from(points)))  # a zero off-diagonal distance
+            continue
+        extreme = draw(st.integers(0, 7)) == 0
+        pool = st.sampled_from(EXTREME_COORDINATES) if extreme else SMALL_COORDINATES
+        points.append((draw(pool), draw(pool)))
+    lines = [str(count)] + [f"{i} {x} {y}" for i, (x, y) in enumerate(points)]
+    edit = draw(st.sampled_from(["none", "none", "none", "truncate", "extra", "drop", "swap"]))
+    i = draw(st.integers(1, n))
+    if edit == "truncate":
+        lines[i] = lines[i][: draw(st.integers(0, len(lines[i]) - 1))]
+    elif edit == "extra":
+        lines[i] += " 0"
+    elif edit == "drop":
+        del lines[i]
+    elif edit == "swap":
+        j = i % n + 1  # the next point line, or the first after the last
+        lines[i], lines[j] = lines[j], lines[i]
+    text = ("\n".join(lines) + "\n").encode()
+    if draw(st.integers(0, 7)) == 0:
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + b"\xe9" + text[cut:]
+    return text
+
+
+def assert_runs_or_is_refused_alike(capsys, *others):
+    """Run validate and run on cfg.txt, then ``others``, in-process in the working directory.
+
+    Each exits 0 with nothing on stderr, or 1 with one ``error:`` line and
+    nothing on stdout, and leaves no ``*.tmp`` file. If validate refuses,
+    every command refuses in the same line and run leaves no output
+    directory. Otherwise the others succeed, and run writes every file or,
+    after one of the RUN_TIME_REFUSALS, an empty output directory.
+    """
+    results = []
+    run = ["run", "cfg.txt", "--output", "out", "--workers=1"]
+    for argv in (["validate", "cfg.txt"], run, *others):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1)
+        if code == 1:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error:"), err
+        else:
+            assert err == "", err  # not even a numpy warning
+        assert not list(Path().rglob("*.tmp"))
+        results.append((code, err))
+    (validated, refusal), (ran, run_error), *rest = results
+    if validated == 1:
+        assert results == [(1, refusal)] * len(results) and not Path("out").exists()
+        return
+    assert rest == [(0, "")] * len(others)
+    if ran == 0:
+        seeds = parse_config(cli._read("cfg.txt")).seeds
+        traces = [f"trace_seed{seed}.csv" for seed in seeds]
+        assert {path.name for path in Path("out").iterdir()} == {"summary.json", *traces}
+    else:
+        assert run_error.startswith(RUN_TIME_REFUSALS), run_error
+        assert list(Path("out").iterdir()) == []
+
+
+def echo_text(echo: dict) -> str:
+    """``echo`` as config lines, None values left out and seeds joined by commas.
+
+    An f-string writes a float as its ``repr``, which parses back to the same bits.
+    """
+    echo = {**echo, "seeds": ",".join(map(str, echo["seeds"]))}
+    return "".join(f"{key}={value}\n" for key, value in echo.items() if value is not None)
+
+
+class TestConfigEchoParsesBack:
+    @settings(max_examples=500)
+    @given(text=fuzzed_configs())
+    @example(text=small_pso_text().replace("swarm_size=5", "swarm_size=1"))  # echoes ring_k=1
+    def test_every_accepted_config_echo_parses_back(self, text):
+        try:
+            echo = cli._config_echo(parse_config(text))
+        except ConfigError:
+            return
+        assert cli._config_echo(parse_config(echo_text(echo))) == echo
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
@@ -979,33 +1075,25 @@ class TestMain:
     @example(text=small_aco_text("square.txt", "q=1e308\nrho=0\n"))
     @example(text=OVERFLOWING_OBJECTIVE)
     def test_every_config_runs_or_is_refused_in_one_line(self, text, tmp_path, capsys, monkeypatch):
-        # Either validate and run refuse alike, in one line and with no output
-        # directory, or run writes every file and nothing to stderr; only
-        # RUN_TIME_REFUSALS may differ.
         monkeypatch.chdir(tmp_path)
         shutil.rmtree("out", ignore_errors=True)
         for path, content in [("square.txt", SQUARE), *BROKEN_INSTANCES.items(), ("cfg.txt", text)]:
             write(path, content)
-        results = []
-        for argv in (["validate", "cfg.txt"], ["run", "cfg.txt", "--output", "out", "--workers=1"]):
-            code = main(argv)
-            out, err = capsys.readouterr()
-            assert code in (0, 1)
-            if code == 1:
-                assert out == "" and err.count("\n") == 1 and err.startswith("error:"), err
-            else:
-                assert err == "", err  # not even a numpy warning
-            assert not list(tmp_path.rglob("*.tmp"))
-            results.append((code, err))
-        (validated, refusal), (ran, run_error) = results
-        if validated == 1:
-            assert (ran, run_error) == (1, refusal) and not Path("out").exists()
-        elif ran == 0:
-            traces = [f"trace_seed{seed}.csv" for seed in parse_config(text).seeds]
-            assert {path.name for path in Path("out").iterdir()} == {"summary.json", *traces}
-        else:
-            assert run_error.startswith(RUN_TIME_REFUSALS), run_error
-            assert list(Path("out").iterdir()) == []
+        assert_runs_or_is_refused_alike(capsys)
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would print more lines
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cities=fuzzed_instances())
+    # numpy warned of inf - inf before the error line.
+    @example(cities=b"3\n0 0 0\n1 0 0\n2 0 inf\n")
+    def test_every_instance_runs_or_is_refused_in_one_line(
+        self, cities, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        shutil.rmtree("out", ignore_errors=True)
+        write("cfg.txt", "algorithm=aco\nproblem=cities.txt\nmax_iterations=2\nseeds=1\n")
+        write("cities.txt", cities)
+        assert_runs_or_is_refused_alike(capsys, ["brute-force", "cities.txt"])
 
     def test_broken_worker_pool_reports_single_line(self, tmp_path, capsys, monkeypatch):
         class BrokenPool:
@@ -1075,24 +1163,6 @@ class TestMain:
         for argv in (["validate", str(cfg)], ["run", str(cfg), "--output", str(tmp_path / "o")]):
             assert main(argv) == 1
             assert capsys.readouterr() == ("", line)
-
-    def test_overflowing_weight_sum_reports_one_line(self, tmp_path):
-        # Every weight is finite and only their sum overflows. pytest turns
-        # RuntimeWarning into an error, so run the CLI where numpy's warning
-        # would reach stderr as it does for a user.
-        (tmp_path / "square.txt").write_text(UNIT_SQUARE_TEXT)
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(small_aco_text("square.txt", "tau0=1e308\n"))
-        result = subprocess.run(
-            [sys.executable, "-m", "swarmkit", "run", str(cfg), "--output", "out"],
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 1
-        assert result.stderr.startswith("error: transition weights from node 0 sum to inf")
-        assert result.stderr.count("\n") == 1
 
     def test_run_writes_outputs_and_reports(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

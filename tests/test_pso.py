@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import engine_reference
-import pso_rule_reference
 from conftest import SPECIAL_FLOATS, ForcedStream, assert_same_bits
+from engine_reference import state_of
 from swarmkit import (
     ConfigError,
     ContractError,
@@ -44,33 +44,10 @@ def sphere_spec(d=2, half_range=1.0):
     )
 
 
-def make_particle(position, velocity, pbest_position, pbest_fitness):
-    return Particle(
-        position=np.asarray(position, dtype=float),
-        velocity=np.asarray(velocity, dtype=float),
-        pbest_position=np.asarray(pbest_position, dtype=float),
-        pbest_fitness=pbest_fitness,
-    )
-
-
-def state_of(particles, non_finite_evals=0):
-    """Swarm holding ``particles`` as rows; gbest is the best pbest, ties to the lowest index."""
-    best = min(range(len(particles)), key=lambda i: (fitness_key(particles[i].pbest_fitness), i))
-    return SwarmState(
-        position=np.stack([p.position for p in particles]),
-        velocity=np.stack([p.velocity for p in particles]),
-        pbest_position=np.stack([p.pbest_position for p in particles]),
-        pbest_fitness=np.array([p.pbest_fitness for p in particles]),
-        gbest_position=particles[best].pbest_position,
-        gbest_fitness=particles[best].pbest_fitness,
-        non_finite_evals=non_finite_evals,
-    )
-
-
 def state_from_pbest_fitnesses(fitnesses):
     """Swarm whose pbest positions encode their index for easy identification."""
     return state_of(
-        [make_particle([float(i)], [0.0], [float(i)], fit) for i, fit in enumerate(fitnesses)]
+        [Particle([float(i)], [0.0], [float(i)], fit) for i, fit in enumerate(fitnesses)]
     )
 
 
@@ -202,7 +179,7 @@ class TestUpdateVelocity:
         return PsoConfig(**kwargs)
 
     def test_zero_differences_leave_velocity_unchanged(self):
-        particle = make_particle([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0)
+        particle = Particle([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 0.0)
         config = self._config(vmax=10.0)
         out = update_velocity(particle, np.zeros(2), config, ForcedStream([0.9, 0.1, 0.5, 0.4]))
         assert np.array_equal(out, np.zeros(2))
@@ -210,7 +187,7 @@ class TestUpdateVelocity:
     def test_scalar_case_attracting_back(self):
         # v=0, x=1, pbest=guide=0, c1=c2=2, r1=r2=0.5:
         # v' = 0 + 2*0.5*(0-1) + 2*0.5*(0-1) = -2.0 exactly.
-        particle = make_particle([1.0], [0.0], [0.0], 0.0)
+        particle = Particle([1.0], [0.0], [0.0], 0.0)
         config = self._config(vmax=10.0)
         out = update_velocity(particle, np.array([0.0]), config, ForcedStream([0.5, 0.5]))
         assert out[0] == -2.0
@@ -218,7 +195,7 @@ class TestUpdateVelocity:
     def test_scalar_case_mixed_terms(self):
         # v=0.3, x=0, pbest=0, guide=1, r1=0.25, r2=0.5:
         # v' = 0.3 + 0 + 2*0.5*1 = 1.3 exactly.
-        particle = make_particle([0.0], [0.3], [0.0], 0.0)
+        particle = Particle([0.0], [0.3], [0.0], 0.0)
         config = self._config(vmax=10.0)
         out = update_velocity(particle, np.array([1.0]), config, ForcedStream([0.25, 0.5]))
         assert out[0] == 0.3 + 2.0 * 0.5 * 1.0
@@ -226,7 +203,7 @@ class TestUpdateVelocity:
     def test_draw_order_is_r1_then_r2_per_dimension(self):
         # Distinct draws per slot expose any deviation from the pinned
         # interleaved order (dim 0: r1, r2; dim 1: r1, r2).
-        particle = make_particle([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.0)
+        particle = Particle([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.0)
         guide = np.array([2.0, 2.0])
         config = self._config(c1=1.0, c2=1.0, vmax=100.0)
         draws = [0.1, 0.2, 0.3, 0.4]
@@ -235,33 +212,33 @@ class TestUpdateVelocity:
         assert np.array_equal(out, expected)
 
     def test_consumes_exactly_two_draws_per_dimension(self):
-        particle = make_particle([0.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3, 0.0)
+        particle = Particle([0.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3, 0.0)
         stream = ForcedStream([0.5] * 7)
         update_velocity(particle, np.ones(3), self._config(vmax=10.0), stream)
         assert stream.remaining == 1
 
     def test_result_is_clamped(self):
-        particle = make_particle([0.0], [0.0], [100.0], 0.0)
+        particle = Particle([0.0], [0.0], [100.0], 0.0)
         config = self._config(vmax=1.5)
         out = update_velocity(particle, np.array([100.0]), config, ForcedStream([1.0, 1.0]))
         assert out[0] == 1.5
 
     def test_unset_vmax_everywhere_is_rejected(self):
-        particle = make_particle([0.0], [0.0], [0.0], 0.0)
+        particle = Particle([0.0], [0.0], [0.0], 0.0)
         with pytest.raises(ConfigError, match="resolve_vmax"):
             update_velocity(particle, np.array([0.0]), self._config(), ForcedStream([0.5, 0.5]))
 
     @pytest.mark.parametrize("vmax", [[1.0, 1.0, 1.0], [1.0]])
     def test_vmax_dimension_mismatch_rejected(self, vmax):
         # Length 3 used to fail in numpy's broadcast and length 1 to broadcast silently.
-        particle = make_particle([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.0)
+        particle = Particle([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], 0.0)
         config = self._config(vmax=np.array(vmax))
         message = rf"vmax has shape \({len(vmax)},\), particle has shape \(2,\)"
         with pytest.raises(ContractError, match=message):
             update_velocity(particle, np.zeros(2), config, ForcedStream([0.5] * 4))
 
     def test_guide_dimension_mismatch_rejected(self):
-        particle = make_particle([0.0], [0.0], [0.0], 0.0)
+        particle = Particle([0.0], [0.0], [0.0], 0.0)
         with pytest.raises(ContractError):
             update_velocity(
                 particle, np.array([0.0, 1.0]), self._config(vmax=1.0), ForcedStream([0.5, 0.5])
@@ -332,51 +309,20 @@ class TestUpdatePosition:
             update_position(np.zeros(2), np.zeros(3))
 
 
-def manual_step(state, objective, config, streams):
-    """Per-particle composition of the reference rules, for comparison.
-
-    The guide and pbest rules come from ``tests/pso_rule_reference.py`` and
-    the position step is a bare sum, so no rule body is shared with ``step``
-    except the velocity rule.
-    """
-    config = dataclasses.replace(config, vmax=resolve_vmax(config, objective))
-    fitnesses = [float(objective.evaluate(p.position)) for p in state.particles]
-    evaluated = [
-        pso_rule_reference.update_pbest(p, f) for p, f in zip(state.particles, fitnesses)
-    ]
-    non_finite = state.non_finite_evals + sum(not math.isfinite(f) for f in fitnesses)
-    interim = state_of(evaluated)
-    moved = []
-    for i, particle in enumerate(interim.particles):
-        guide = pso_rule_reference.select_guide(interim, i, config.topology)
-        velocity = update_velocity(particle, guide, config, streams[i])
-        position = particle.position + velocity
-        moved.append(
-            Particle(position, velocity, particle.pbest_position, particle.pbest_fitness)
-        )
-    return state_of(moved, non_finite)
-
-
 def assert_states_identical(a, b):
-    """Equal bit for bit, where a NaN fitness equals a NaN fitness."""
-    assert np.array_equal(a.gbest_fitness, b.gbest_fitness, equal_nan=True)
-    assert np.array_equal(a.gbest_position, b.gbest_position)
-    assert a.non_finite_evals == b.non_finite_evals
-    assert len(a.particles) == len(b.particles)
-    for pa, pb in zip(a.particles, b.particles):
-        assert np.array_equal(pa.position, pb.position)
-        assert np.array_equal(pa.velocity, pb.velocity)
-        assert np.array_equal(pa.pbest_position, pb.pbest_position)
-        assert np.array_equal(pa.pbest_fitness, pb.pbest_fitness, equal_nan=True)
+    """Equal bit for bit in every field: NaN equals NaN, and a zero's sign counts."""
+    for field in dataclasses.fields(SwarmState):
+        assert_same_bits(getattr(a, field.name), getattr(b, field.name))
 
 
 def checked_step(state, objective, config, make_streams):
-    """``step`` from ``state``, after checking that ``manual_step`` gives the same bits.
+    """``step`` from ``state``, after checking that ``engine_reference.step`` gives the same bits.
 
     ``make_streams()`` must return a fresh, equal set of streams on each call.
     """
     stepped = step(state, objective, config, make_streams())
-    assert_states_identical(stepped, manual_step(state, objective, config, make_streams()))
+    expected = engine_reference.step(state, objective, config, make_streams())
+    assert_states_identical(stepped, expected)
     return stepped
 
 
@@ -441,7 +387,7 @@ class TestSelectGuide:
 
 def pbest_after_step(pbest_fitness, fitness):
     """One step of a particle at [2] with pbest [1], on an objective that returns ``fitness``."""
-    particle = make_particle([2.0], [0.0], [1.0], pbest_fitness)
+    particle = Particle([2.0], [0.0], [1.0], pbest_fitness)
     config = PsoConfig(swarm_size=1, termination=TerminationCriteria(max_iterations=1))
     spec = ObjectiveSpec(1, np.array([-4.0]), np.array([4.0]), lambda x: fitness)
     return checked_step(state_of([particle]), spec, config, lambda: [derive_stream(0, 1)])
@@ -485,7 +431,7 @@ FITNESSES = st.one_of(
 
 
 class TestReferenceParity:
-    """``step``'s guide and pbest helpers against the bodies in ``tests/pso_rule_reference.py``."""
+    """``step``'s guide and pbest helpers against the bodies in ``tests/engine_reference.py``."""
 
     @given(st.data())
     def test_select_guide_matches_the_per_particle_body(self, data):
@@ -497,7 +443,7 @@ class TestReferenceParity:
         topology = data.draw(st.just(Global()) | radius.map(lambda k: Ring(k=k)), label="topology")
         state = state_of(
             [
-                make_particle([float(i), -float(i)], [0.0, 0.0], [float(i), 0.5 * i], fit)
+                Particle([float(i), -float(i)], [0.0, 0.0], [float(i), 0.5 * i], fit)
                 for i, fit in enumerate(fitnesses)
             ]
         )
@@ -505,7 +451,7 @@ class TestReferenceParity:
         gbest = state.pbest_position[keyed.argmin()]  # as ``step`` picks it
         guides = np.broadcast_to(_guides(state.pbest_position, gbest, keyed, topology), (n, 2))
         for i in range(n):
-            assert np.array_equal(guides[i], pso_rule_reference.select_guide(state, i, topology))
+            assert np.array_equal(guides[i], engine_reference.select_guide(state, i, topology))
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
@@ -514,11 +460,11 @@ class TestReferenceParity:
     )
     def test_update_pbest_matches_the_per_particle_body(self, position, pbest_fitness, fitness):
         d = len(position)
-        particle = make_particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
+        particle = Particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
         prior = state_of([particle], non_finite_evals=3)
         spec = ObjectiveSpec(d, np.full(d, -1e6), np.full(d, 1e6), lambda x: fitness)
         pbest, pbest_fitness_out, keyed, non_finite = _evaluated(spec, prior.position, prior)
-        ref = pso_rule_reference.update_pbest(particle, fitness)
+        ref = engine_reference.update_pbest(particle, fitness)
         assert np.array_equal(pbest[0], ref.pbest_position)
         assert np.array_equal(pbest_fitness_out[0], ref.pbest_fitness, equal_nan=True)
         assert keyed[0] == fitness_key(ref.pbest_fitness)
@@ -543,12 +489,12 @@ class TestStep:
     def test_matches_per_particle_operations_bitwise(self, topology):
         spec, config, state = self._setup(topology=topology)
         vec_streams = [derive_stream(5, 1 + k) for k in range(config.swarm_size)]
-        man_streams = [derive_stream(5, 1 + k) for k in range(config.swarm_size)]
-        vec_state, man_state = state, state
+        ref_streams = [derive_stream(5, 1 + k) for k in range(config.swarm_size)]
+        vec_state, ref_state = state, state
         for _ in range(4):
             vec_state = step(vec_state, spec, config, vec_streams)
-            man_state = manual_step(man_state, spec, config, man_streams)
-            assert_states_identical(vec_state, man_state)
+            ref_state = engine_reference.step(ref_state, spec, config, ref_streams)
+            assert_states_identical(vec_state, ref_state)
 
     @given(st.data())
     def test_matches_per_particle_operations_for_any_configuration(self, data):
@@ -593,12 +539,12 @@ class TestStep:
             ]
         )
         vec_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
-        man_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
-        vec_state, man_state = state, state
+        ref_streams = [derive_stream(seed, 1 + k) for k in range(swarm)]
+        vec_state, ref_state = state, state
         for _ in range(6):
             vec_state = step(vec_state, spec, config, vec_streams)
-            man_state = manual_step(man_state, spec, config, man_streams)
-            assert_states_identical(vec_state, man_state)
+            ref_state = engine_reference.step(ref_state, spec, config, ref_streams)
+            assert_states_identical(vec_state, ref_state)
 
     def test_performs_exactly_swarm_size_evaluations(self):
         calls = []
@@ -656,7 +602,7 @@ class TestStep:
         config = PsoConfig(
             swarm_size=1, termination=TerminationCriteria(max_iterations=5), vmax=1.0
         )
-        particle = make_particle([0.25, -0.5], [0.0, 0.0], [0.25, -0.5], 0.3125)
+        particle = Particle([0.25, -0.5], [0.0, 0.0], [0.25, -0.5], 0.3125)
         state = state_of([particle])
         out = step(state, spec, config, [derive_stream(3, 1)])
         assert np.array_equal(out.particles[0].position, particle.position)

@@ -206,8 +206,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if algorithm == "aco":
         engine = AcoConfig(termination=termination, **values)
     else:
-        if dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {dim}")
         spec = benchmark(problem, dim).spec  # fails as run would on an unknown name or a bad dim
         topologies = {"global": Global(), "ring": Ring(ring_k)}
         if topology not in topologies:

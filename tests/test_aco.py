@@ -22,7 +22,6 @@ from swarmkit import (
     PheromoneMatrix,
     TerminationCriteria,
     Tour,
-    TspInstance,
     construct_tour,
     deposit,
     derive_stream,

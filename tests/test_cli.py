@@ -172,7 +172,7 @@ class TestParseConfig:
     def test_constraint_violations(self):
         with pytest.raises(ConfigError, match="max_iterations must be >= 1"):
             parse_config(small_pso_text().replace("max_iterations=10", "max_iterations=0"))
-        with pytest.raises(ConfigError, match="dim must be >= 1"):
+        with pytest.raises(ConfigError, match="sphere needs dimension >= 1, got 0"):
             parse_config(small_pso_text().replace("dim=3", "dim=0"))
         with pytest.raises(ConfigError, match="swarm_size must be >= 1"):
             parse_config(small_pso_text().replace("swarm_size=5", "swarm_size=0"))
@@ -580,9 +580,7 @@ class TestRunExperiment:
         config = parse_config(small_pso_text(seeds="1..3"))
         run_experiment(config, output_dir=str(tmp_path / "a"))
         run_experiment(config, output_dir=str(tmp_path / "b"))
-        for seed in (1, 2, 3):
-            name = f"trace_seed{seed}.csv"
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert output_digests(tmp_path / "a") == output_digests(tmp_path / "b")
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1..4"))
@@ -823,6 +821,8 @@ REFUSALS = [
     ("test_benchmark_dimension_fails_validate_and_run_alike",
      PSO.replace("sphere", "rosenbrock").replace("dim=3", "dim=1"), None, BOTH,
      "error: rosenbrock needs dimension >= 2, got 1"),
+    ("test_benchmark_dimension_fails_validate_and_run_alike-zero", PSO.replace("dim=3", "dim=0"),
+     None, BOTH, "error: sphere needs dimension >= 1, got 0"),
     # numpy cannot size the first two; it refuses to allocate the third (728 TiB) at
     # once, in words that differ between numpy versions.
     *[

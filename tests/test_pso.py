@@ -507,7 +507,8 @@ class TestStep:
             k = st.integers(1, max(1, (swarm - 2) // 2)) | st.integers(1, swarm - 1)
             topology = Ring(data.draw(k, label="ring_k"))
         vmax = data.draw(
-            st.floats(0.1, 3.0)
+            st.none()
+            | st.floats(0.1, 3.0)
             | st.lists(st.floats(0.1, 3.0), min_size=d, max_size=d).map(np.array),
             label="vmax",
         )

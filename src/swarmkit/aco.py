@@ -9,8 +9,8 @@ edge is ever locked out.
 
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
-lengths, and one ordered ``np.add.at`` for the deposit. Each equals its plain
-Python loop in ``tests/aco_reference.py`` bit for bit. ``transition_probabilities``
+lengths, and one ordered ``np.add.at`` per tour for the deposit. Each equals its
+plain Python loop in ``tests/aco_reference.py`` bit for bit. ``transition_probabilities``
 reads a row of ``transition_weights``, the table ``construct_tour`` samples.
 """
 
@@ -281,26 +281,20 @@ def deposit(
 ) -> PheromoneMatrix:
     """Add q/length to both directions of every tour edge.
 
-    One ``np.add.at`` takes the adds unbuffered in index order: tours in
-    order, edges in tour order, (a, b) before (b, a). That is the order of
-    a Python loop over the tours, so the update is reproducible bit for bit.
+    Each tour in turn is checked, then takes one ``np.add.at`` over its 2n
+    directed edges, unbuffered in index order: edges in tour order, (a, b)
+    before (b, a). That is the order of a Python loop over the tours, so the
+    update is reproducible bit for bit, and the working memory is one tour's.
     """
     tau = pheromones.tau.copy()
-    tours = tuple(tours)
-    if not tours:
-        return PheromoneMatrix(tau)
-    paths = []
-    for tour in tours:
-        if not 0 < tour.length < np.inf:
-            raise ContractError(f"tour length must be finite and positive, got {tour.length}")
-        paths.append(_permutation(pheromones.n, tour.order))
-    nodes = np.stack(paths)
-    nxt = _successors(nodes)
-    rows = np.stack([nodes, nxt], axis=2).ravel()
-    cols = np.stack([nxt, nodes], axis=2).ravel()
-    gains = np.array([config.q / tour.length for tour in tours])
     with np.errstate(over="ignore"):  # an overflow is inf, which PheromoneMatrix refuses
-        np.add.at(tau, (rows, cols), np.repeat(gains, 2 * pheromones.n))
+        for tour in tours:
+            if not 0 < tour.length < np.inf:
+                raise ContractError(f"tour length must be finite and positive, got {tour.length}")
+            nodes = _permutation(pheromones.n, tour.order)
+            nxt = _successors(nodes)
+            edges = np.stack([nodes, nxt], axis=1).ravel(), np.stack([nxt, nodes], axis=1).ravel()
+            np.add.at(tau, edges, config.q / tour.length)
     return PheromoneMatrix(tau)
 
 

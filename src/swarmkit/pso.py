@@ -39,6 +39,7 @@ from .core import (
     TerminationCriteria,
     TraceEntry,
     derive_stream,
+    fitness_key,
     record_iteration,
     require_finite,
     should_terminate,
@@ -203,7 +204,7 @@ def initialize_swarm(
     position = lower + (upper - lower) * draws[0::2]
     velocity = -vmax + 2.0 * vmax * draws[1::2]
     pbest, fitness, keyed, non_finite = _evaluated(objective, position, prior=None)
-    best = keyed.argmin()  # first minimum = lowest index
+    best = keyed.index(min(keyed))  # first minimum = lowest index
     return SwarmState(
         position, velocity, pbest, fitness, pbest[best], float(fitness[best]), non_finite
     )
@@ -260,41 +261,39 @@ def update_position(position: np.ndarray, velocity: np.ndarray) -> np.ndarray:
     return position + velocity
 
 
-def _keyed(fitness: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(fitness), fitness, np.inf)
-
-
 def _evaluated(objective, position, prior):
     """Evaluate each row of ``position`` once, in row order, and keep the better pbests.
 
-    Strict improvements on ``prior``'s pbests are adopted into new arrays, and
-    ``prior`` is left as it was; with no prior the evaluated rows are the
-    pbests. Returns the pbest positions, fitnesses and keyed fitnesses, and the
-    running count of non-finite evaluations.
+    A row replaces ``prior``'s pbest only when its :func:`fitness_key` is strictly
+    lower; the adoptions go into new arrays and ``prior`` is left as it was. With
+    no prior the evaluated rows are the pbests. Returns the pbest positions and
+    fitnesses, their keys as a list, and the running count of non-finite evaluations.
     """
     evaluate = objective.evaluate
-    fitness = np.array([float(evaluate(row)) for row in position])
-    keyed = _keyed(fitness)
-    non_finite = int(np.count_nonzero(keyed == np.inf))  # inf exactly where fitness is non-finite
     if prior is None:
-        return position, fitness, keyed, non_finite
-    keyed_prior = _keyed(prior.pbest_fitness)
-    improved = keyed < keyed_prior
+        fitness = np.array([float(evaluate(row)) for row in position])
+        keyed = [fitness_key(value) for value in fitness.tolist()]
+        return position, fitness, keyed, keyed.count(math.inf)
     pbest = np.array(prior.pbest_position, dtype=float)
-    pbest_fitness = np.array(prior.pbest_fitness, dtype=float)
-    np.copyto(pbest, position, where=improved[..., None])
-    np.copyto(pbest_fitness, fitness, where=improved)
-    np.copyto(keyed_prior, keyed, where=improved)
-    return pbest, pbest_fitness, keyed_prior, non_finite + prior.non_finite_evals
+    fitness = np.array(prior.pbest_fitness, dtype=float)
+    keyed = [fitness_key(value) for value in fitness.tolist()]
+    non_finite = prior.non_finite_evals
+    for i, row in enumerate(position):
+        value = float(evaluate(row))
+        key = fitness_key(value)
+        non_finite += key == math.inf
+        if key < keyed[i]:
+            pbest[i], fitness[i], keyed[i] = row, value, key
+    return pbest, fitness, keyed, non_finite
 
 
 def _guides(pbest, gbest, keyed, topology: Topology) -> np.ndarray:
     """Each row's attractor: gbest, or the best pbest within +/-k ring neighbors."""
     if isinstance(topology, Global):
         return gbest  # one row, broadcast against every particle
-    n, k = keyed.shape[0], topology.k
+    n, k = len(keyed), topology.k
     rows = np.sort((np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]) % n, axis=1)
-    col = np.argmin(keyed[rows], axis=1)  # first minimum = lowest index
+    col = np.argmin(np.array(keyed)[rows], axis=1)  # first minimum = lowest index
     return pbest[rows[np.arange(n), col]]
 
 
@@ -318,7 +317,7 @@ def step(
     if len(streams) != n:
         raise ContractError(f"need {n} per-particle streams, got {len(streams)}")
     pbest, fitness, keyed, non_finite = _evaluated(objective, state.position, prior=state)
-    best = keyed.argmin()  # first minimum = lowest index
+    best = keyed.index(min(keyed))  # first minimum = lowest index
     gbest = pbest[best]
     guides = _guides(pbest, gbest, keyed, config.topology)
     m = 2 * objective.dimension

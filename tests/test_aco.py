@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -565,6 +566,26 @@ class TestDeposit:
         before = pheromones.tau.copy()
         deposit(pheromones, [Tour((0, 1, 2, 3), 4.0)], aco_config())
         assert np.array_equal(pheromones.tau, before)
+
+    def test_working_memory_does_not_grow_with_the_number_of_tours(self):
+        graph = random_tsp_instance(50, derive_stream(25, 0)).graph
+        config = aco_config()
+        pheromones = initialize_pheromones(graph, config)
+        weights = transition_weights(graph, pheromones, config)
+        tours = [
+            construct_tour(graph, weights, config, derive_stream(25, 1 + k), start=k % 50)
+            for k in range(400)
+        ]
+
+        def peak(colony):
+            tracemalloc.start()
+            try:
+                deposit(pheromones, colony, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(tours) - peak(tours[:1]) < 16 * 1024
 
 
 class TestOptimizeAco:

@@ -32,7 +32,7 @@ from swarmkit import (
     update_position,
     update_velocity,
 )
-from swarmkit.pso import _check_envelope, _clamped, _evaluated, _guides, _keyed, resolve_vmax
+from swarmkit.pso import _check_envelope, _clamped, _evaluated, _guides, resolve_vmax
 
 
 def sphere_spec(d=2, half_range=1.0):
@@ -447,31 +447,38 @@ class TestReferenceParity:
                 for i, fit in enumerate(fitnesses)
             ]
         )
-        keyed = _keyed(state.pbest_fitness)
-        gbest = state.pbest_position[keyed.argmin()]  # as ``step`` picks it
+        keyed = [fitness_key(value) for value in state.pbest_fitness.tolist()]
+        gbest = state.pbest_position[keyed.index(min(keyed))]  # as ``step`` picks it
         guides = np.broadcast_to(_guides(state.pbest_position, gbest, keyed, topology), (n, 2))
         for i in range(n):
             assert np.array_equal(guides[i], engine_reference.select_guide(state, i, topology))
 
-    @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4),
-        FITNESSES,
-        FITNESSES,
-    )
-    def test_update_pbest_matches_the_per_particle_body(self, position, pbest_fitness, fitness):
-        d = len(position)
-        particle = Particle(position, np.ones(d), np.arange(d) + 0.25, pbest_fitness)
-        prior = state_of([particle], non_finite_evals=3)
-        spec = ObjectiveSpec(d, np.full(d, -1e6), np.full(d, 1e6), lambda x: fitness)
-        pbest, pbest_fitness_out, keyed, non_finite = _evaluated(spec, prior.position, prior)
-        ref = engine_reference.update_pbest(particle, fitness)
-        assert np.array_equal(pbest[0], ref.pbest_position)
-        assert np.array_equal(pbest_fitness_out[0], ref.pbest_fitness, equal_nan=True)
-        assert keyed[0] == fitness_key(ref.pbest_fitness)
-        assert non_finite == 3 + (not math.isfinite(fitness))
+    @given(st.data())
+    def test_update_pbest_matches_the_per_particle_body(self, data):
+        n = data.draw(st.integers(1, 4), label="particles")
+        d = data.draw(st.integers(1, 4), label="d")
+        rows = st.lists(st.floats(-1e6, 1e6), min_size=d, max_size=d)
+        positions = data.draw(st.lists(rows, min_size=n, max_size=n), label="positions")
+        priors = data.draw(st.lists(FITNESSES, min_size=n, max_size=n), label="pbest fitnesses")
+        values = data.draw(st.lists(FITNESSES, min_size=n, max_size=n), label="new fitnesses")
+        particles = [
+            Particle(x, np.ones(d), np.arange(d) + 0.25 + i, fit)
+            for i, (x, fit) in enumerate(zip(positions, priors))
+        ]
+        prior = state_of(particles, non_finite_evals=3)
+        returns = iter(values)  # _evaluated evaluates each row once, in row order
+        spec = ObjectiveSpec(d, np.full(d, -1e6), np.full(d, 1e6), lambda x: next(returns))
+        pbest, pbest_fitness, keyed, non_finite = _evaluated(spec, prior.position, prior)
+        for i, (particle, value) in enumerate(zip(particles, values)):
+            ref = engine_reference.update_pbest(particle, value)
+            assert np.array_equal(pbest[i], ref.pbest_position)
+            assert_same_bits(pbest_fitness[i], ref.pbest_fitness)
+            assert keyed[i] == fitness_key(ref.pbest_fitness)
+        assert non_finite == 3 + sum(not math.isfinite(value) for value in values)
         # The prior's arrays are left as they were.
-        assert np.array_equal(prior.pbest_position[0], particle.pbest_position)
-        assert np.array_equal(prior.pbest_fitness[0], pbest_fitness, equal_nan=True)
+        for i, particle in enumerate(particles):
+            assert np.array_equal(prior.pbest_position[i], particle.pbest_position)
+            assert_same_bits(prior.pbest_fitness[i], particle.pbest_fitness)
 
 
 class TestStep:

@@ -10,7 +10,7 @@ edge is ever locked out.
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
 lengths, and one ordered ``np.add.at`` per tour for the deposit. Each equals its
-plain Python loop in ``tests/aco_reference.py`` bit for bit. ``transition_probabilities``
+plain Python loop in ``tests/engine_reference.py`` bit for bit. ``transition_probabilities``
 reads a row of ``transition_weights``, the table ``construct_tour`` samples.
 """
 
@@ -28,6 +28,7 @@ from .core import (
     RunTrace,
     TerminationCriteria,
     TraceEntry,
+    _readonly_copy,
     derive_stream,
     record_iteration,
     require_finite,
@@ -35,29 +36,34 @@ from .core import (
 )
 
 
+def _table(values, name: str, entries: str) -> np.ndarray:
+    """A read-only copy of ``values``, refused unless square, finite and symmetric."""
+    table = _readonly_copy(values)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ConfigError(f"{name} matrix must be square, got shape {table.shape}")
+    if not np.isfinite(table).all():
+        raise ConfigError(f"{entries} must be finite")
+    if not np.array_equal(table, table.T):
+        raise ConfigError(f"{name} matrix must be symmetric")
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class DistanceGraph:
-    """Symmetric distance matrix over n >= 3 nodes, positive off-diagonal."""
+    """Read-only copy of a symmetric distance matrix over n >= 3 nodes, positive off-diagonal."""
 
     distance: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.distance, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ConfigError(f"distance matrix must be square, got shape {d.shape}")
+        d = _table(self.distance, "distance", "distances")
         n = d.shape[0]
         if n < 3:
             raise ConfigError(f"graph needs at least 3 nodes, got {n}")
-        if not np.isfinite(d).all():
-            raise ConfigError("distances must be finite")
-        if not np.array_equal(d, d.T):
-            raise ConfigError("distance matrix must be symmetric")
         if not np.all(np.diag(d) == 0.0):
             raise ConfigError("diagonal distances must be zero")
         off = d[~np.eye(n, dtype=bool)]
         if not np.all(off > 0.0):
             raise ConfigError("off-diagonal distances must be strictly positive")
-        d.flags.writeable = False
         object.__setattr__(self, "distance", d)
 
     @property
@@ -67,20 +73,12 @@ class DistanceGraph:
 
 @dataclass(frozen=True, eq=False)
 class PheromoneMatrix:
-    """Edge pheromone levels; symmetric. The diagonal is ignored: every self-move weighs zero."""
+    """Read-only copy of symmetric edge pheromone levels; every self-move weighs zero."""
 
     tau: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.tau, dtype=float)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ConfigError(f"pheromone matrix must be square, got shape {t.shape}")
-        if not np.isfinite(t).all():
-            raise ConfigError("pheromone levels must be finite")
-        if not np.array_equal(t, t.T):
-            raise ConfigError("pheromone matrix must be symmetric")
-        t.flags.writeable = False
-        object.__setattr__(self, "tau", t)
+        object.__setattr__(self, "tau", _table(self.tau, "pheromone", "pheromone levels"))
 
     @property
     def n(self) -> int:

@@ -298,8 +298,8 @@ def run_experiment(
 
     The problem is resolved once, before the output directory is created, so
     a missing or malformed instance fails before any worker starts and leaves
-    nothing behind. Seeds may execute in parallel worker processes, at most
-    one per seed; results and files are identical for any worker count.
+    nothing behind. Seeds may execute in parallel worker processes, at most one
+    per seed and per usable CPU; results and files are identical for any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -308,15 +308,17 @@ def run_experiment(
     out.mkdir(parents=True, exist_ok=True)
 
     run = functools.partial(_run_single, config, problem, out_dir=str(out))
-    if workers == 1 or len(config.seeds) == 1:
+    # The pool may start all max_workers processes up front, so start none that
+    # would have no seed to run or no CPU of its own to run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(config.seeds), cpus or 1)
+    if workers == 1:
         results = list(map(run, config.seeds))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool may start all max_workers processes up front, so start none
-        # that would have no seed to run. If one seed raises, map cancels the
-        # seeds that have not started.
-        with ProcessPoolExecutor(max_workers=min(workers, len(config.seeds))) as pool:
+        # If one seed raises, map cancels the seeds that have not started.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, config.seeds))
 
     summary = RunSummary(

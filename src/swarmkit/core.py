@@ -68,6 +68,13 @@ def require_finite(config, *names: str) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
+def _readonly_copy(values) -> np.ndarray:
+    """A read-only float64 copy of ``values``; the caller's array stays writeable and as it was."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 def fitness_key(value: float) -> float:
     """Comparison key under which non-finite fitnesses never win.
 
@@ -79,7 +86,7 @@ def fitness_key(value: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ObjectiveSpec:
-    """A box-bounded minimization objective.
+    """A box-bounded minimization objective, holding read-only copies of its bounds.
 
     ``evaluate`` must be deterministic: the same input vector always yields
     the same fitness.
@@ -93,8 +100,8 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
-        lower = np.asarray(self.lower_bound, dtype=float)
-        upper = np.asarray(self.upper_bound, dtype=float)
+        lower = _readonly_copy(self.lower_bound)
+        upper = _readonly_copy(self.upper_bound)
         if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
             raise ConfigError(
                 f"bounds must have shape ({self.dimension},), "
@@ -108,8 +115,6 @@ class ObjectiveSpec:
             span = upper - lower
         if not np.isfinite(span).all():
             raise ConfigError("bounds are too far apart: upper_bound - lower_bound overflows")
-        lower.flags.writeable = False
-        upper.flags.writeable = False
         object.__setattr__(self, "lower_bound", lower)
         object.__setattr__(self, "upper_bound", upper)
 

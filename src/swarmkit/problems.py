@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .aco import DistanceGraph, Tour
-from .core import ConfigError, ObjectiveSpec, RngStream
+from .core import ConfigError, ObjectiveSpec, RngStream, _readonly_copy
 
 # Exhaustive enumeration above this is a factorial blowup, not a test oracle.
 BRUTE_FORCE_MAX_NODES = 11
@@ -81,7 +81,7 @@ def benchmark(name: str, dimension: int) -> BenchmarkFunction:
 
 @dataclass(frozen=True, eq=False)
 class TspInstance:
-    """A symmetric TSP instance: 2D coordinates and the Euclidean distances between them."""
+    """A TSP instance: a read-only copy of its 2D coordinates and their Euclidean distances."""
 
     name: str
     graph: DistanceGraph
@@ -89,14 +89,13 @@ class TspInstance:
 
     @classmethod
     def from_coordinates(cls, name: str, coordinates) -> "TspInstance":
-        coords = np.asarray(coordinates, dtype=float)
+        coords = _readonly_copy(coordinates)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ConfigError(f"coordinates must have shape (n, 2), got {coords.shape}")
         # Huge or infinite coordinates give inf or NaN here; DistanceGraph rejects both.
         with np.errstate(over="ignore", invalid="ignore"):
             delta = coords[:, None, :] - coords[None, :, :]
             distance = np.sqrt((delta**2).sum(axis=-1))
-        coords.flags.writeable = False
         return cls(name=name, graph=DistanceGraph(distance), coordinates=coords)
 
     @property

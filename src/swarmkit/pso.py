@@ -38,6 +38,7 @@ from .core import (
     RunTrace,
     TerminationCriteria,
     TraceEntry,
+    _readonly_copy,
     derive_stream,
     fitness_key,
     record_iteration,
@@ -90,8 +91,8 @@ class Particle:
 class PsoConfig:
     """Tunables for the swarm engine.
 
-    ``vmax`` may be a scalar, a per-dimension vector, or None to default
-    to half the search range per dimension.
+    ``vmax`` may be a scalar, a per-dimension vector (kept as a read-only copy), or None
+    to default to half the search range per dimension.
     """
 
     swarm_size: int
@@ -108,7 +109,7 @@ class PsoConfig:
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError(f"c1 and c2 must be >= 0, got c1={self.c1}, c2={self.c2}")
         if self.vmax is not None:
-            vmax = np.asarray(self.vmax, dtype=float)
+            vmax = _readonly_copy(self.vmax)
             require_finite(self, "vmax")
             if not (vmax > 0).all():
                 raise ConfigError(f"vmax must be > 0, got {self.vmax}")
@@ -117,7 +118,6 @@ class PsoConfig:
             if vmax.ndim == 0:
                 object.__setattr__(self, "vmax", float(vmax))
             elif vmax.ndim == 1:
-                vmax.flags.writeable = False
                 object.__setattr__(self, "vmax", vmax)
             else:
                 raise ConfigError(f"vmax must be a scalar or 1-d vector, got shape {vmax.shape}")

@@ -8,12 +8,15 @@ time. ``step`` keeps a pbest on a strict ``fitness_key`` improvement
 (``update_pbest``), picks each guide with ``min`` over the ring neighbors
 (``select_guide``) and clips each velocity element with ``np.clip``;
 ``optimize`` initializes the swarm, loops over ``step`` and folds the trace.
-The tour, length and deposit loops come from ``aco_reference``, and the
-weight table, the evaporation and the stopping rule are written out here.
+``optimize_aco`` builds each tour over a list of unvisited nodes
+(``construct_tour``), sums lengths and deposits with Python ``+=`` folds
+(``tour_length``, ``deposit``), and writes out the weight table, the
+evaporation and the stopping rule. These are the list loops the colony ran
+before its array rewrite, error messages included.
 No private engine body is imported, so a change to the library's array
 forms cannot carry these loops along with it. The differential tests in
-``test_pso.py`` and ``test_aco.py`` hold single steps and whole runs of the
-two to the same bits.
+``test_pso.py`` and ``test_aco.py`` hold single steps, single tours, deposits
+and whole runs of the two to the same bits.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ import math
 
 import numpy as np
 
-import aco_reference
 from swarmkit import (
     ContractError,
     Global,
     Particle,
     RunTrace,
     SwarmState,
+    Tour,
     TraceEntry,
     derive_stream,
     fitness_key,
@@ -163,7 +166,7 @@ def optimize_aco(graph, config, seed):
             weights = tau**config.alpha * (1.0 / graph.distance) ** config.beta
         np.fill_diagonal(weights, 0.0)
         tours = [
-            aco_reference.construct_tour(graph, weights, config, streams[k], k % n)
+            construct_tour(graph, weights, config, streams[k], k % n)
             for k in range(num_ants)
         ]
         for tour in tours:
@@ -172,7 +175,7 @@ def optimize_aco(graph, config, seed):
         # Evaporate every edge, floored at tau_floor, then deposit on this iteration's tours.
         tau = np.maximum((1.0 - config.rho) * tau, config.tau_floor)
         np.fill_diagonal(tau, 0.0)
-        tau = aco_reference.deposit(tau, tours, config.q)
+        tau = deposit(tau, tours, config.q)
 
         # best.length never rises, so it is the trace's running minimum as it stands.
         entries.append(TraceEntry(len(entries), best.length, num_ants * (len(entries) + 1)))
@@ -181,3 +184,50 @@ def optimize_aco(graph, config, seed):
             target is not None and best.length <= target
         ):
             return best, RunTrace(tuple(entries)), tau
+
+
+def construct_tour(graph, weights, config, stream, start):
+    """One closed tour, sampled by inverse CDF over a list of unvisited nodes."""
+    n = graph.n
+    order = [start]
+    remaining = list(range(n))
+    remaining.remove(start)
+    current = start
+    while remaining:
+        row = weights[current, remaining]
+        total = row.sum()
+        if not 0.0 < total < np.inf:
+            raise ContractError(
+                f"transition weights from node {current} sum to {total}: tau**alpha * "
+                f"(1/d)**beta overflows or underflows (alpha={config.alpha}, beta={config.beta})"
+            )
+        u = stream.next_uniform()
+        idx = int(np.searchsorted(np.cumsum(row / total), u, side="right"))
+        if idx >= len(remaining):  # cumulative sum fell short of 1.0 by rounding
+            idx = len(remaining) - 1
+        current = remaining.pop(idx)
+        order.append(current)
+    return Tour(order=tuple(order), length=tour_length(graph, order))
+
+
+def tour_length(graph, order):
+    """Closed-tour length as a left fold of Python ``+=``, return edge last."""
+    nodes = list(order)
+    d = graph.distance
+    total = 0.0
+    for a, b in zip(nodes, nodes[1:]):
+        total += d[a, b]
+    total += d[nodes[-1], nodes[0]]
+    return float(total)
+
+
+def deposit(tau, tours, q):
+    """``tau`` plus q/length on both directions of every edge, tour by tour."""
+    tau = np.array(tau, dtype=float)
+    for tour in tours:
+        gain = q / tour.length
+        nodes = tour.order
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            tau[a, b] += gain
+            tau[b, a] += gain
+    return tau

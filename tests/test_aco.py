@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -11,7 +12,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import aco_reference
 import engine_reference
 from conftest import ForcedStream, assert_same_bits
 from swarmkit import aco
@@ -63,19 +63,35 @@ class TestDistanceGraph:
             graph.distance[0, 1] = 5.0
 
     @pytest.mark.parametrize(
-        "matrix",
+        "matrix, message",
         [
-            np.zeros((3, 2)),
-            np.zeros((2, 2)),
-            [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.1, 0.0]],
-            [[0.0, 1.0, 2.0], [1.0, 0.0, -3.0], [2.0, -3.0, 0.0]],
-            [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
-            [[0.5, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]],
-            [[0.0, 1.0, np.inf], [1.0, 0.0, 3.0], [np.inf, 3.0, 0.0]],
+            (np.zeros((3, 2)), "distance matrix must be square, got shape (3, 2)"),
+            (np.zeros((2, 2)), "graph needs at least 3 nodes, got 2"),
+            (
+                [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.1, 0.0]],
+                "distance matrix must be symmetric",
+            ),
+            (
+                [[0.0, 1.0, 2.0], [1.0, 0.0, -3.0], [2.0, -3.0, 0.0]],
+                "off-diagonal distances must be strictly positive",
+            ),
+            (
+                [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+                "off-diagonal distances must be strictly positive",
+            ),
+            (
+                [[0.5, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]],
+                "diagonal distances must be zero",
+            ),
+            (
+                [[0.0, 1.0, np.inf], [1.0, 0.0, 3.0], [np.inf, 3.0, 0.0]],
+                "distances must be finite",
+            ),
         ],
+        ids=[f"matrix{i}" for i in range(7)],
     )
-    def test_rejects_invalid_matrices(self, matrix):
-        with pytest.raises(ConfigError):
+    def test_rejects_invalid_matrices(self, matrix, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             DistanceGraph(np.array(matrix, dtype=float))
 
 
@@ -85,15 +101,16 @@ class TestPheromoneMatrix:
         assert PheromoneMatrix(tau).n == 2
 
     @pytest.mark.parametrize(
-        "matrix",
+        "matrix, message",
         [
-            np.zeros((2, 3)),
-            [[0.0, 1.0], [2.0, 0.0]],
-            [[0.0, np.nan], [np.nan, 0.0]],
+            (np.zeros((2, 3)), "pheromone matrix must be square, got shape (2, 3)"),
+            ([[0.0, 1.0], [2.0, 0.0]], "pheromone matrix must be symmetric"),
+            ([[0.0, np.nan], [np.nan, 0.0]], "pheromone levels must be finite"),
         ],
+        ids=[f"matrix{i}" for i in range(3)],
     )
-    def test_rejects_invalid_matrices(self, matrix):
-        with pytest.raises(ConfigError):
+    def test_rejects_invalid_matrices(self, matrix, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             PheromoneMatrix(np.array(matrix, dtype=float))
 
 
@@ -771,7 +788,7 @@ class TestSamplingParity:
 
 
 class TestReferenceParity:
-    """The array forms against the list loops in ``tests/aco_reference.py``."""
+    """The array forms against the list loops in ``tests/engine_reference.py``."""
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -801,7 +818,7 @@ class TestReferenceParity:
             streams = derive_stream(seed, 1), derive_stream(seed, 1)
 
         outcomes = []
-        for build, stream in zip((construct_tour, aco_reference.construct_tour), streams):
+        for build, stream in zip((construct_tour, engine_reference.construct_tour), streams):
             try:
                 outcomes.append(build(graph, weights, config, stream, start))
             except ContractError as error:
@@ -823,9 +840,9 @@ class TestReferenceParity:
         tours = [Tour(order, tour_length(graph, order)) for order in orders]
 
         for tour in tours:
-            assert tour.length == aco_reference.tour_length(graph, tour.order)
+            assert tour.length == engine_reference.tour_length(graph, tour.order)
         after = deposit(pheromones, tours, config)
-        assert np.array_equal(after.tau, aco_reference.deposit(pheromones.tau, tours, config.q))
+        assert np.array_equal(after.tau, engine_reference.deposit(pheromones.tau, tours, config.q))
 
 
 class TestWholeRunReference:

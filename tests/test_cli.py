@@ -68,6 +68,11 @@ def small_aco_text(instance_path, extra=""):
     )
 
 
+def pin_usable_cpus(monkeypatch, count):
+    """Make ``run_experiment`` see ``count`` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 class TestParseConfig:
     def test_pso_defaults_filled(self):
         config = parse_config(PSO_CONFIG_TEXT)
@@ -597,10 +602,13 @@ class TestRunExperiment:
         assert strip(serial) == strip(parallel)
         assert serial.aggregate == parallel.aggregate
 
-    @pytest.mark.parametrize("workers, seeds, started", [(8, "1..2", 2), (2, "1..3", 2)])
+    @pytest.mark.parametrize(
+        "workers, seeds, started", [(8, "1..2", 2), (2, "1..3", 2), (100000, "1..6", 3)]
+    )
     def test_pool_starts_at_most_one_process_per_seed(
         self, workers, seeds, started, tmp_path, monkeypatch
     ):
+        pin_usable_cpus(monkeypatch, 3)
         sizes = []
 
         class InlinePool:
@@ -1110,6 +1118,7 @@ class TestMain:
                 raise BrokenProcessPool("a worker process died")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
+        pin_usable_cpus(monkeypatch, 2)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_pso_text(seeds="1..2"))
         assert main(["run", str(cfg), "--output", str(tmp_path / "o"), "--workers", "2"]) == 1
@@ -1123,6 +1132,7 @@ class TestMain:
                 pools.append(max_workers)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        pin_usable_cpus(monkeypatch, 2)
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(small_aco_text(str(tmp_path / "nowhere.txt")))
         argv = ["run", str(cfg), "--output", str(tmp_path / "out"), "--workers", "2"]

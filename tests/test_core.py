@@ -1,4 +1,4 @@
-"""Tests for random streams, objectives, traces, and termination."""
+"""Tests for random streams, objectives, read-only copies, traces, and termination."""
 
 import math
 
@@ -7,12 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import UNIT_SQUARE_COORDS
 from swarmkit import (
     RNG_ALGORITHM,
     ConfigError,
+    DistanceGraph,
     ObjectiveSpec,
+    PheromoneMatrix,
+    PsoConfig,
     RngStream,
     TerminationCriteria,
+    TspInstance,
     TraceEntry,
     derive_stream,
     fitness_key,
@@ -127,6 +132,49 @@ class TestObjectiveSpec:
         half = np.finfo(float).max / 2
         spec = self._spec(lower_bound=np.full(2, -half), upper_bound=np.full(2, half))
         assert np.isfinite(spec.upper_bound - spec.lower_bound).all()
+
+
+# Each builder takes the caller's arrays and returns the arrays the built object holds.
+def spec_bounds(lower, upper):
+    spec = ObjectiveSpec(2, lower, upper, evaluate=sum)
+    return spec.lower_bound, spec.upper_bound
+
+
+def config_vmax(vmax):
+    return (PsoConfig(swarm_size=2, termination=TerminationCriteria(1), vmax=vmax).vmax,)
+
+
+def tsp_coordinates(coords):
+    return (TspInstance.from_coordinates("square", coords).coordinates,)
+
+
+TRIANGLE = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
+
+
+class TestReadOnlyCopies:
+    """Each constructor that takes arrays holds read-only copies and leaves the caller's alone."""
+
+    @pytest.mark.parametrize(
+        "build, values",
+        [
+            pytest.param(spec_bounds, [[-1.0, -2.0], [1.0, 2.0]], id="ObjectiveSpec"),
+            pytest.param(config_vmax, [[0.5, 2.0]], id="PsoConfig.vmax"),
+            pytest.param(lambda d: (DistanceGraph(d).distance,), [TRIANGLE], id="DistanceGraph"),
+            pytest.param(lambda t: (PheromoneMatrix(t).tau,), [TRIANGLE], id="PheromoneMatrix"),
+            pytest.param(tsp_coordinates, [UNIT_SQUARE_COORDS.tolist()], id="from_coordinates"),
+        ],
+    )
+    def test_caller_array_stays_writeable_and_unchanged(self, build, values):
+        given = [np.array(value) for value in values]
+        held = build(*given)
+        assert len(held) == len(given)
+        for array, value, copy in zip(given, values, held):
+            assert array.flags.writeable
+            assert np.array_equal(array, value)
+            assert not copy.flags.writeable
+            assert not np.shares_memory(copy, array)
+            array += 1.0
+            assert np.array_equal(copy, value)
 
 
 class TestTerminationCriteria:

@@ -9,7 +9,7 @@ edge is ever locked out.
 
 The per-transition, per-tour and per-iteration work are ndarray calls: a
 boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
-lengths, and one ordered ``np.add.at`` per tour for the deposit. Each equals its
+lengths, and two fancy-index adds per tour for the deposit. Each equals its
 plain Python loop in ``tests/engine_reference.py`` bit for bit. ``transition_probabilities``
 reads a row of ``transition_weights``, the table ``construct_tour`` samples.
 """
@@ -279,9 +279,9 @@ def deposit(
 ) -> PheromoneMatrix:
     """Add q/length to both directions of every tour edge.
 
-    Each tour in turn is checked, then takes one ``np.add.at`` over its 2n
-    directed edges, unbuffered in index order: edges in tour order, (a, b)
-    before (b, a). That is the order of a Python loop over the tours, so the
+    Each tour in turn is checked, then adds to its n edges (a, b) and then to
+    their reverses (b, a). A tour lists each node once, so neither add hits an
+    entry twice: every entry gets its additions in a Python loop's order, the
     update is reproducible bit for bit, and the working memory is one tour's.
     """
     tau = pheromones.tau.copy()
@@ -291,8 +291,8 @@ def deposit(
                 raise ContractError(f"tour length must be finite and positive, got {tour.length}")
             nodes = _permutation(pheromones.n, tour.order)
             nxt = _successors(nodes)
-            edges = np.stack([nodes, nxt], axis=1).ravel(), np.stack([nxt, nodes], axis=1).ravel()
-            np.add.at(tau, edges, config.q / tour.length)
+            tau[nodes, nxt] += config.q / tour.length
+            tau[nxt, nodes] += config.q / tour.length
     return PheromoneMatrix(tau)
 
 

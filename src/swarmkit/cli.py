@@ -3,10 +3,10 @@
 Config files are flat ``key=value`` lines with ``#`` comments. Every run
 writes one ``trace_seed<SEED>.csv`` per seed plus one ``summary.json``. A
 trace is ``TRACE_HEADER`` then one :func:`_trace_row` per iteration, in
-order and LF-terminated, streamed as the run goes and atomically renamed
-into place; fitnesses are written with ``repr``, so ``float()`` of the
-column restores the exact bits. Identical configs produce byte-identical
-trace files regardless of worker count.
+order and LF-terminated; fitnesses are written with ``repr``, so ``float()``
+of the column restores the exact bits. Traces stream to ``.tmp`` names and
+replace the previous run's together once every seed has finished, summary
+last; identical configs give byte-identical traces for any worker count.
 ``validate`` runs ``run``'s checks up to the first seed, through the same
 problem loader that ``run`` calls once per experiment.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 # The process pool, argparse and json are imported where they are used, so
 # that ``import swarmkit`` loads none of them and a one-worker run no pool.
-import contextlib
 import functools
 import math
 import os
@@ -254,25 +253,11 @@ def _trace_row(entry: TraceEntry) -> str:
     return f"{entry.iteration},{entry.best_fitness!r},{entry.evaluations}"
 
 
-@contextlib.contextmanager
-def _atomic_output(path: Path):
-    """Write ``path`` through ``<name>.tmp``: renamed into place on success, deleted on failure."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def _run_single(config: ExperimentConfig, problem, seed: int, out_dir: str) -> dict:
-    """Execute one seeded run on ``_problem(config)``, streaming its trace file. Worker-safe."""
+    """Run one seed on ``_problem(config)``, streaming its trace to ``.tmp``. Worker-safe."""
     optimizer = optimize if config.algorithm == "pso" else optimize_aco
-    trace_path = Path(out_dir) / f"trace_seed{seed}.csv"
     started = time.perf_counter()
-    with _atomic_output(trace_path) as fh:
+    with open(Path(out_dir) / f"trace_seed{seed}.csv.tmp", "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
 
         def writer(entry: TraceEntry) -> None:
@@ -294,12 +279,12 @@ def run_experiment(
     output_dir: Optional[str] = None,
     workers: int = 1,
 ) -> RunSummary:
-    """One run per seed; writes per-seed traces plus summary.json.
+    """One run per seed; writes per-seed traces plus summary.json, replacing the previous run's.
 
-    The problem is resolved once, before the output directory is created, so
-    a missing or malformed instance fails before any worker starts and leaves
-    nothing behind. Seeds may execute in parallel worker processes, at most one
-    per seed and per usable CPU; results and files are identical for any worker count.
+    The problem is resolved once, before the output directory is created: a missing or malformed
+    instance leaves nothing behind. Seeds may run in worker processes, at most one per seed and
+    per usable CPU, with the same files for any worker count. Nothing is published until every
+    seed has finished, so a seed that raises leaves the directory as it was.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -312,14 +297,27 @@ def run_experiment(
     # would have no seed to run or no CPU of its own to run on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(config.seeds), cpus or 1)
-    if workers == 1:
-        results = list(map(run, config.seeds))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    staged = [out / f"trace_seed{seed}.csv.tmp" for seed in config.seeds]
+    try:
+        if workers == 1:
+            results = list(map(run, config.seeds))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # If one seed raises, map cancels the seeds that have not started.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, config.seeds))
+            # If one seed raises, map cancels the seeds that have not started.
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, config.seeds))
+        (out / "summary.json").unlink(missing_ok=True)
+        for old in out.glob("trace_seed*.csv"):
+            if old.stem.removeprefix("trace_seed").isdecimal():
+                old.unlink(missing_ok=True)
+        for tmp in staged:
+            os.replace(tmp, tmp.with_suffix(""))
+    except BaseException:
+        # Leaving the pool waited for its running seeds, so none still writes a .tmp.
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
     summary = RunSummary(
         algorithm=config.algorithm,
@@ -353,8 +351,14 @@ def emit_summary(summary: RunSummary) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    with _atomic_output(path) as fh:
-        fh.write(text)
+    """Write ``path`` through ``<name>.tmp``: renamed into place on success, deleted on failure."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_run(args) -> int:

@@ -9,6 +9,7 @@ from its seed alone and independent of execution order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -39,6 +40,7 @@ class RngStream:
     __slots__ = ("_gen",)
 
     def __init__(self, seed: int, stream_id: int):
+        seed, stream_id = operator.index(seed), operator.index(stream_id)  # np.int64 << 64 wraps
         if not 0 <= seed <= _U64_MAX:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if not 0 <= stream_id <= _U64_MAX:

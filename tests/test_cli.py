@@ -22,6 +22,7 @@ from conftest import UNIT_SQUARE_TEXT
 from swarmkit import (
     AcoConfig,
     ConfigError,
+    ContractError,
     ExperimentConfig,
     Global,
     PsoConfig,
@@ -71,6 +72,31 @@ def small_aco_text(instance_path, extra=""):
 def pin_usable_cpus(monkeypatch, count):
     """Make ``run_experiment`` see ``count`` usable CPUs, whatever the host has."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch) -> list:
+    """Replace the process pool with one that runs every seed in this process.
+
+    Returns the list of the ``max_workers`` each pool was built with.
+    """
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return sizes
 
 
 class TestParseConfig:
@@ -587,15 +613,12 @@ class TestRunExperiment:
         run_experiment(config, output_dir=str(tmp_path / "b"))
         assert output_digests(tmp_path / "a") == output_digests(tmp_path / "b")
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+        pin_usable_cpus(monkeypatch, 4)  # a real 4-process pool, however many CPUs the host has
         config = parse_config(small_pso_text(seeds="1..4"))
         serial = run_experiment(config, output_dir=str(tmp_path / "serial"), workers=1)
         parallel = run_experiment(config, output_dir=str(tmp_path / "parallel"), workers=4)
-        for seed in range(1, 5):
-            name = f"trace_seed{seed}.csv"
-            assert (tmp_path / "serial" / name).read_bytes() == (
-                tmp_path / "parallel" / name
-            ).read_bytes()
+        assert output_digests(tmp_path / "serial") == output_digests(tmp_path / "parallel")
         strip = lambda s: [
             {k: v for k, v in r.items() if k != "wall_clock_seconds"} for r in s.per_seed
         ]
@@ -606,27 +629,50 @@ class TestRunExperiment:
         "workers, seeds, started", [(8, "1..2", 2), (2, "1..3", 2), (100000, "1..6", 3)]
     )
     def test_pool_starts_at_most_one_process_per_seed(
-        self, workers, seeds, started, tmp_path, monkeypatch
+        self, workers, seeds, started, tmp_path, monkeypatch, inline_pool
     ):
         pin_usable_cpus(monkeypatch, 3)
-        sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         run_experiment(parse_config(small_pso_text(seeds=seeds)), str(tmp_path), workers=workers)
-        assert sizes == [started]
+        assert inline_pool == [started]
+
+    def test_rerun_with_fewer_seeds_replaces_the_previous_run(self, tmp_path):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        longer = small_pso_text(seeds="1..4").replace("max_iterations=10", "max_iterations=7")
+        run_experiment(parse_config(longer), str(out))
+        # Files the harness does not write stay, a killed run's .tmp among them.
+        for directory in (out, fresh):
+            directory.mkdir(exist_ok=True)
+            for name in ("notes.txt", "trace_seedx.csv", "trace_seed9.csv.tmp"):
+                (directory / name).write_text(name)
+        config = parse_config(small_pso_text(seeds="1..2"))
+        run_experiment(config, str(out))
+        run_experiment(config, str(fresh))
+        assert output_digests(out) == output_digests(fresh)
+
+    @pytest.mark.parametrize(
+        "error", [ContractError("seed 2 failed"), KeyboardInterrupt()], ids=lambda e: type(e).__name__
+    )
+    @pytest.mark.parametrize("workers, pools", [(1, []), (2, [2])], ids=["serial", "pool"])
+    def test_failed_rerun_leaves_the_previous_run(
+        self, workers, pools, error, tmp_path, monkeypatch, inline_pool
+    ):
+        pin_usable_cpus(monkeypatch, 2)
+        run_experiment(parse_config(small_pso_text(seeds="1..3")), str(tmp_path))
+        before = output_digests(tmp_path)
+        calls = []
+
+        def failing_second_seed(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "optimize", failing_second_seed)
+        rerun = small_pso_text(seeds="1..3").replace("max_iterations=10", "max_iterations=7")
+        with pytest.raises(type(error)):
+            run_experiment(parse_config(rerun), str(tmp_path), workers=workers)
+        assert output_digests(tmp_path) == before  # the same files: no trace replaced, no .tmp
+        assert inline_pool == pools
 
     def test_import_and_one_worker_run_load_no_process_pool(self, tmp_path):
         # Runs in a fresh interpreter: this process has loaded all of them already.

@@ -19,8 +19,10 @@ from swarmkit import (
     TerminationCriteria,
     TspInstance,
     TraceEntry,
+    benchmark,
     derive_stream,
     fitness_key,
+    optimize,
     record_iteration,
     should_terminate,
 )
@@ -68,6 +70,20 @@ class TestRngStream:
     def test_rejects_out_of_range_ids(self, seed, stream_id):
         with pytest.raises(ConfigError):
             RngStream(seed, stream_id)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_numpy_integers_key_the_stream_of_their_value(self, integer):
+        # np.int64(7) << 64 wraps to 0, so such a seed once drew seed 0's stream.
+        assert np.array_equal(
+            derive_stream(integer(7), integer(1)).next_uniforms(8),
+            derive_stream(7, 1).next_uniforms(8),
+        )
+        spec = benchmark("sphere", 2).spec
+        config = PsoConfig(termination=TerminationCriteria(max_iterations=5), swarm_size=4)
+        position, best, trace = optimize(spec, config, integer(7))
+        expected_position, expected_best, expected_trace = optimize(spec, config, 7)
+        assert np.array_equal(position, expected_position)
+        assert (best, trace) == (expected_best, expected_trace)
 
     def test_accepts_full_64_bit_range(self):
         derive_stream(2**64 - 1, 2**64 - 1).next_uniform()

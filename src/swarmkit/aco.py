@@ -8,7 +8,7 @@ every ant's tour edges. Pheromone never drops below ``tau_floor``, so no
 edge is ever locked out.
 
 The per-transition, per-tour and per-iteration work are ndarray calls: a
-boolean candidate mask of unvisited nodes, a ``cumsum`` left fold for tour
+gather of the unvisited nodes' weights, a ``cumsum`` left fold for tour
 lengths, and two fancy-index adds per tour for the deposit. Each equals its
 plain Python loop in ``tests/engine_reference.py`` bit for bit. ``transition_probabilities``
 reads a row of ``transition_weights``, the table ``construct_tour`` samples.
@@ -178,13 +178,12 @@ def transition_probabilities(
         raise ContractError("no unvisited nodes to move to")
     row = transition_weights(graph, pheromones, config)[current]
     with np.errstate(over="ignore"):
-        return _move(row, free, current, config)[1]
+        return _move(row, free, current, config)
 
 
-def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):
-    """The ``free`` nodes, ascending, and their move probabilities on ``current``'s weight row."""
-    candidates = free.nonzero()[0]
-    weights = row.take(candidates)
+def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig) -> np.ndarray:
+    """Move probabilities of the ``free`` nodes, ascending, on ``current``'s weight row."""
+    weights = row[free]
     # np.add.reduce is what ndarray.sum runs for a 1-D float64 row, minus the wrapper.
     # Finite weights may sum to inf; callers hold np.errstate(over="ignore") once per call.
     total = np.add.reduce(weights)
@@ -193,7 +192,7 @@ def _move(row: np.ndarray, free: np.ndarray, current: int, config: AcoConfig):
             f"transition weights from node {current} sum to {total}: tau**alpha * "
             f"(1/d)**beta overflows or underflows (alpha={config.alpha}, beta={config.beta})"
         )
-    return candidates, weights / total
+    return weights / total
 
 
 def construct_tour(
@@ -205,11 +204,11 @@ def construct_tour(
 ) -> Tour:
     """Build one closed tour by inverse-CDF sampling of a :func:`transition_weights` table.
 
-    The unvisited nodes are a boolean candidate mask; each transition reads
-    them in ascending node order, normalizes their weight row, and picks the
-    first candidate whose cumulative probability exceeds the draw. Consumes
-    exactly n-1 uniform draws, one per transition (the final forced move
-    included), so draw accounting is independent of the probabilities
+    The unvisited nodes are an ascending list, and ``free`` masks them on the
+    current node's weight row; each transition normalizes their weights and
+    pops the first node whose cumulative probability exceeds the draw.
+    Consumes exactly n-1 uniform draws, one per transition (the final forced
+    move included), so draw accounting is independent of the probabilities
     themselves.
     """
     n = graph.n
@@ -217,20 +216,19 @@ def construct_tour(
         raise ContractError(f"weights must have shape {(n, n)}, got {np.shape(weights)}")
     if not 0 <= start < n:
         raise ContractError(f"start node {start} out of range [0, {n})")
+    remaining = list(range(n))
+    current = remaining.pop(start)
+    order = [current]
     free = np.ones(n, dtype=bool)
-    free[start] = False
-    order = np.empty(n, dtype=np.intp)
-    order[0] = current = start
     with np.errstate(over="ignore"):
-        for step in range(1, n):
-            remaining, probs = _move(weights[current], free, current, config)
-            u = stream.next_uniform()
-            idx = int(probs.cumsum().searchsorted(u, "right"))
-            # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
-            current = remaining[min(idx, n - 1 - step)]
+        while remaining:
             free[current] = False
-            order[step] = current
-    return Tour(order=tuple(order.tolist()), length=tour_length(graph, order))
+            probs = _move(weights[current], free, current, config)
+            idx = probs.cumsum().searchsorted(stream.next_uniform(), "right")
+            # A cumulative sum that falls short of 1.0 by rounding leaves idx past the end.
+            current = remaining.pop(min(idx, len(remaining) - 1))
+            order.append(current)
+    return Tour(order=tuple(order), length=tour_length(graph, order))
 
 
 def _permutation(n: int, order: Iterable[int]) -> np.ndarray:

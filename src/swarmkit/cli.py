@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -231,9 +232,9 @@ def _config_echo(config: ExperimentConfig) -> dict:
 
 
 def _read(path) -> str:
-    """The text of ``path`` as UTF-8; a file that does not decode is named in the error."""
+    """The UTF-8 text of ``path``, less a leading BOM; a file that does not decode is named."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{exc} in {path}") from None
 
@@ -309,7 +310,7 @@ def run_experiment(
                 results = list(pool.map(run, config.seeds))
         (out / "summary.json").unlink(missing_ok=True)
         for old in out.glob("trace_seed*.csv"):
-            if old.stem.removeprefix("trace_seed").isdecimal():
+            if re.fullmatch("trace_seed[0-9]+", old.stem):
                 old.unlink(missing_ok=True)
         for tmp in staged:
             os.replace(tmp, tmp.with_suffix(""))

@@ -315,7 +315,7 @@ class TestTransitionWeights:
         outcomes = []
         for compute in (
             lambda: transition_probabilities(graph, pheromones, current, visited, config),
-            lambda: aco._move(table_row, free, current, config)[1],
+            lambda: aco._move(table_row, free, current, config),
         ):
             try:
                 outcomes.append(compute().tolist())

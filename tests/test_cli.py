@@ -639,15 +639,19 @@ class TestRunExperiment:
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         longer = small_pso_text(seeds="1..4").replace("max_iterations=10", "max_iterations=7")
         run_experiment(parse_config(longer), str(out))
-        # Files the harness does not write stay, a killed run's .tmp among them.
+        # Files the harness does not write stay: a killed run's .tmp, and traces numbered
+        # in decimal digits that are not ASCII (a fullwidth and an Arabic-Indic 3).
+        kept = ("notes.txt", "trace_seedx.csv", "trace_seed9.csv.tmp", "trace_seed\uff13.csv",
+                "trace_seed\u0663.csv")
         for directory in (out, fresh):
             directory.mkdir(exist_ok=True)
-            for name in ("notes.txt", "trace_seedx.csv", "trace_seed9.csv.tmp"):
-                (directory / name).write_text(name)
+            for name in kept:
+                (directory / name).write_text("kept")
         config = parse_config(small_pso_text(seeds="1..2"))
         run_experiment(config, str(out))
         run_experiment(config, str(fresh))
         assert output_digests(out) == output_digests(fresh)
+        assert set(kept) <= output_digests(out).keys()
 
     @pytest.mark.parametrize(
         "error", [ContractError("seed 2 failed"), KeyboardInterrupt()], ids=lambda e: type(e).__name__
@@ -1200,6 +1204,21 @@ class TestMain:
             timeout=120,
         )
         assert (result.returncode, result.stdout) == (0, "ok\n"), result.stderr
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, monkeypatch):
+        # PowerShell 5's ``Out-File -Encoding utf8`` starts each file with a UTF-8 byte order mark.
+        monkeypatch.chdir(tmp_path)
+        results = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            write("cfg.txt", bom + ACO.encode())
+            write("cities.txt", bom + SQUARE.encode())
+            shutil.rmtree("out", ignore_errors=True)
+            codes = [main([name, *ARGUMENTS[name]]) for name in ALL]
+            results.append((codes, capsys.readouterr(), output_digests(Path("out"))))
+        without, with_bom = results
+        codes, captured, _ = without
+        assert codes == [0, 0, 0] and captured.out.startswith("ok\n") and captured.err == ""
+        assert with_bom == without
 
     @pytest.mark.parametrize(
         "message, line",

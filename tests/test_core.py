@@ -1,5 +1,6 @@
-"""Tests for random streams, objectives, read-only copies, traces, and termination."""
+"""Tests for random streams, objectives, read-only copies and inputs, traces, and termination."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,21 +11,29 @@ from hypothesis import strategies as st
 from conftest import UNIT_SQUARE_COORDS
 from swarmkit import (
     RNG_ALGORITHM,
+    AcoConfig,
     ConfigError,
     DistanceGraph,
     ObjectiveSpec,
     PheromoneMatrix,
     PsoConfig,
+    Ring,
     RngStream,
     TerminationCriteria,
     TspInstance,
     TraceEntry,
     benchmark,
+    construct_tour,
     derive_stream,
     fitness_key,
+    initialize_pheromones,
+    initialize_swarm,
     optimize,
+    random_tsp_instance,
     record_iteration,
     should_terminate,
+    step,
+    transition_weights,
 )
 
 
@@ -191,6 +200,39 @@ class TestReadOnlyCopies:
             assert not np.shares_memory(copy, array)
             array += 1.0
             assert np.array_equal(copy, value)
+
+
+def read_only(array) -> np.ndarray:
+    copy = np.array(array)
+    copy.flags.writeable = False
+    return copy
+
+
+class TestEnginesLeaveTheirInputs:
+    """The engines read their input arrays and never write into them."""
+
+    def test_step_and_construct_tour_run_on_read_only_inputs(self):
+        spec = benchmark("sphere", 3).spec
+        config = PsoConfig(swarm_size=6, termination=TerminationCriteria(3), topology=Ring(1))
+        streams = [derive_stream(4, 1 + k) for k in range(config.swarm_size)]
+        # One step first, so that positions have left their pbests and some rows adopt.
+        state = step(initialize_swarm(spec, config, derive_stream(4, 0)), spec, config, streams)
+        names = ("position", "velocity", "pbest_position", "pbest_fitness", "gbest_position")
+        frozen = dataclasses.replace(
+            state, **{name: read_only(getattr(state, name)) for name in names}
+        )
+        after = step(frozen, spec, config, streams)
+        assert not np.array_equal(after.pbest_fitness, state.pbest_fitness)
+        for name in names:
+            assert np.array_equal(getattr(frozen, name), getattr(state, name)), name
+
+        graph = random_tsp_instance(6, derive_stream(4, 0)).graph
+        aco = AcoConfig(termination=TerminationCriteria(1))
+        table = transition_weights(graph, initialize_pheromones(graph, aco), aco)
+        weights = read_only(table)
+        for start in range(graph.n):
+            construct_tour(graph, weights, aco, derive_stream(4, 1 + start), start)
+        assert np.array_equal(weights, table)
 
 
 class TestTerminationCriteria:

@@ -16,6 +16,7 @@ reads a row of ``transition_weights``, the table ``construct_tour`` samples.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -50,7 +51,10 @@ def _table(values, name: str, entries: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DistanceGraph:
-    """Read-only copy of a symmetric distance matrix over n >= 3 nodes, positive off-diagonal."""
+    """Read-only copy of a symmetric distance matrix over n >= 3 nodes, positive off-diagonal.
+
+    n times the largest distance is at most half the float maximum, so every tour length is finite.
+    """
 
     distance: np.ndarray
 
@@ -64,6 +68,13 @@ class DistanceGraph:
         off = d[~np.eye(n, dtype=bool)]
         if not np.all(off > 0.0):
             raise ConfigError("off-diagonal distances must be strictly positive")
+        # A tour length sums n distances; the factor of 2 covers the rounding of that sum.
+        dmax, bound = float(off.max()), float(np.finfo(float).max) / 2
+        if not dmax <= bound / n:
+            raise ConfigError(
+                f"distances too large for a finite tour length: n * max distance must be at "
+                f"most {bound!r}, got {n} * {dmax!r}"
+            )
         object.__setattr__(self, "distance", d)
 
     @property
@@ -150,6 +161,17 @@ def transition_weights(
     return weights
 
 
+def _node(value, name: str, n: int) -> int:
+    """``value`` as an int; a ContractError naming ``name`` unless it is an integer in [0, n)."""
+    try:
+        node = operator.index(value)
+    except TypeError:
+        raise ContractError(f"{name} node must be an integer, got {value!r}") from None
+    if not 0 <= node < n:
+        raise ContractError(f"{name} node {node} out of range [0, {n})")
+    return node
+
+
 def transition_probabilities(
     graph: DistanceGraph,
     pheromones: PheromoneMatrix,
@@ -164,8 +186,7 @@ def transition_probabilities(
     :func:`transition_weights`, the table :func:`construct_tour` samples.
     """
     n = graph.n
-    if not 0 <= current < n:
-        raise ContractError(f"current node {current} out of range [0, {n})")
+    current = _node(current, "current", n)
     blocked = np.array([*visited, current])
     if blocked.dtype.kind not in "iu":
         raise ContractError(f"visited nodes must be integers, got {blocked[:-1].tolist()}")
@@ -214,8 +235,7 @@ def construct_tour(
     n = graph.n
     if np.shape(weights) != (n, n):
         raise ContractError(f"weights must have shape {(n, n)}, got {np.shape(weights)}")
-    if not 0 <= start < n:
-        raise ContractError(f"start node {start} out of range [0, {n})")
+    start = _node(start, "start", n)
     remaining = list(range(n))
     current = remaining.pop(start)
     order = [current]

@@ -4,8 +4,8 @@ Config files are flat ``key=value`` lines with ``#`` comments. Every run
 writes one ``trace_seed<SEED>.csv`` per seed plus one ``summary.json``. A
 trace is ``TRACE_HEADER`` then one :func:`_trace_row` per iteration, in
 order and LF-terminated; fitnesses are written with ``repr``, so ``float()``
-of the column restores the exact bits. Traces stream to ``.tmp`` names and
-replace the previous run's together once every seed has finished, summary
+of the column restores the exact bits. The traces and then the summary are
+staged under ``.tmp`` names and replace the previous run's together, summary
 last; identical configs give byte-identical traces for any worker count.
 ``validate`` runs ``run``'s checks up to the first seed, through the same
 problem loader that ``run`` calls once per experiment.
@@ -254,11 +254,11 @@ def _trace_row(entry: TraceEntry) -> str:
     return f"{entry.iteration},{entry.best_fitness!r},{entry.evaluations}"
 
 
-def _run_single(config: ExperimentConfig, problem, seed: int, out_dir: str) -> dict:
-    """Run one seed on ``_problem(config)``, streaming its trace to ``.tmp``. Worker-safe."""
+def _run_single(config: ExperimentConfig, problem, seed: int, trace_path: Path) -> dict:
+    """Run one seed on ``_problem(config)``, streaming its trace to ``trace_path``. Worker-safe."""
     optimizer = optimize if config.algorithm == "pso" else optimize_aco
     started = time.perf_counter()
-    with open(Path(out_dir) / f"trace_seed{seed}.csv.tmp", "w", newline="") as fh:
+    with open(trace_path, "w", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
 
         def writer(entry: TraceEntry) -> None:
@@ -284,8 +284,9 @@ def run_experiment(
 
     The problem is resolved once, before the output directory is created: a missing or malformed
     instance leaves nothing behind. Seeds may run in worker processes, at most one per seed and
-    per usable CPU, with the same files for any worker count. Nothing is published until every
-    seed has finished, so a seed that raises leaves the directory as it was.
+    per usable CPU, with the same files for any worker count. The traces and then the summary are
+    staged as ``.tmp`` files, which one rename loop publishes, summary last, once all are written;
+    a seed or a summary write that raises deletes them and leaves the directory as it was.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -293,21 +294,32 @@ def run_experiment(
     problem = _problem(config)
     out.mkdir(parents=True, exist_ok=True)
 
-    run = functools.partial(_run_single, config, problem, out_dir=str(out))
+    run = functools.partial(_run_single, config, problem)
     # The pool may start all max_workers processes up front, so start none that
     # would have no seed to run or no CPU of its own to run on.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, len(config.seeds), cpus or 1)
-    staged = [out / f"trace_seed{seed}.csv.tmp" for seed in config.seeds]
+    # Each seed streams to its own staged trace (map stops at the seeds); the summary comes last.
+    staged = [*(out / f"trace_seed{s}.csv.tmp" for s in config.seeds), out / "summary.json.tmp"]
     try:
         if workers == 1:
-            results = list(map(run, config.seeds))
+            results = list(map(run, config.seeds, staged))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
             # If one seed raises, map cancels the seeds that have not started.
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, config.seeds))
+                results = list(pool.map(run, config.seeds, staged))
+        summary = RunSummary(
+            algorithm=config.algorithm,
+            problem=config.problem,
+            rng_algorithm=RNG_ALGORITHM,
+            config=_config_echo(config),
+            per_seed=tuple(results),
+            aggregate=aggregate_bests([r["best_fitness"] for r in results]),
+            total_evaluations=sum(r["evaluations"] for r in results),
+        )
+        _atomic_write(staged[-1], emit_summary(summary))
         (out / "summary.json").unlink(missing_ok=True)
         for old in out.glob("trace_seed*.csv"):
             if re.fullmatch("trace_seed[0-9]+", old.stem):
@@ -319,17 +331,6 @@ def run_experiment(
         for tmp in staged:
             tmp.unlink(missing_ok=True)
         raise
-
-    summary = RunSummary(
-        algorithm=config.algorithm,
-        problem=config.problem,
-        rng_algorithm=RNG_ALGORITHM,
-        config=_config_echo(config),
-        per_seed=tuple(results),
-        aggregate=aggregate_bests([r["best_fitness"] for r in results]),
-        total_evaluations=sum(r["evaluations"] for r in results),
-    )
-    _atomic_write(out / "summary.json", emit_summary(summary))
     return summary
 
 
@@ -352,14 +353,8 @@ def emit_summary(summary: RunSummary) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write ``path`` through ``<name>.tmp``: renamed into place on success, deleted on failure."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Write ``text`` as is to the staged ``path``, which ``run_experiment`` renames or deletes."""
+    path.write_text(text, newline="")
 
 
 def _cmd_run(args) -> int:

@@ -92,10 +92,16 @@ class TspInstance:
         coords = _readonly_copy(coordinates)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ConfigError(f"coordinates must have shape (n, 2), got {coords.shape}")
-        # Huge or infinite coordinates give inf or NaN here; DistanceGraph rejects both.
+        # Each pair's difference is scaled by the power of two that brings its larger component
+        # into [0.5, 1), and its root sum of squares scaled back. Powers of two scale exactly, so
+        # the sum never leaves the float range, and where the plain squares stayed normal the
+        # bits are theirs. A difference that overflows or is not finite stays inf or NaN, which
+        # DistanceGraph rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             delta = coords[:, None, :] - coords[None, :, :]
-            distance = np.sqrt((delta**2).sum(axis=-1))
+            e = np.frexp(np.maximum(abs(delta[..., 0]), abs(delta[..., 1])))[1]
+            scaled = np.ldexp(delta, -e[..., None])
+            distance = np.ldexp(np.sqrt((scaled**2).sum(axis=-1)), e)
         return cls(name=name, graph=DistanceGraph(distance), coordinates=coords)
 
     @property

@@ -87,8 +87,13 @@ class TestDistanceGraph:
                 [[0.0, 1.0, np.inf], [1.0, 0.0, 3.0], [np.inf, 3.0, 0.0]],
                 "distances must be finite",
             ),
+            (
+                [[0.0, 1.0, 3e307], [1.0, 0.0, 3e307], [3e307, 3e307, 0.0]],
+                "distances too large for a finite tour length: n * max distance must be at most "
+                "8.988465674311579e+307, got 3 * 3e+307",
+            ),
         ],
-        ids=[f"matrix{i}" for i in range(7)],
+        ids=[f"matrix{i}" for i in range(8)],
     )
     def test_rejects_invalid_matrices(self, matrix, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -433,6 +438,23 @@ class TestConstructTour:
         weights = transition_weights(square_graph, pheromones, aco_config())
         with pytest.raises(ContractError):
             construct_tour(square_graph, weights, aco_config(), derive_stream(0, 1), start=4)
+
+    def test_non_integer_nodes_are_refused_by_name(self, square_graph):
+        # A float start raised a bare TypeError, and a float current was blamed on visited.
+        config = aco_config()
+        pheromones = initialize_pheromones(square_graph, config)
+        weights = transition_weights(square_graph, pheromones, config)
+        with pytest.raises(ContractError, match=r"^start node must be an integer, got 2\.5$"):
+            construct_tour(square_graph, weights, config, derive_stream(0, 1), start=2.5)
+        with pytest.raises(ContractError, match=r"^current node must be an integer, got 2\.5$"):
+            transition_probabilities(square_graph, pheromones, 2.5, [0], config)
+        tour = construct_tour(square_graph, weights, config, derive_stream(0, 1), start=np.int64(2))
+        assert tour == construct_tour(square_graph, weights, config, derive_stream(0, 1), start=2)
+        probs = [
+            transition_probabilities(square_graph, pheromones, current, [0], config).tolist()
+            for current in (np.int64(2), 2)
+        ]
+        assert probs[0] == probs[1]
 
     def test_table_of_the_wrong_shape_rejected(self, square_graph):
         # A triangle's table, and the pheromone matrix itself as the old signature took it.

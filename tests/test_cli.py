@@ -654,24 +654,32 @@ class TestRunExperiment:
         assert set(kept) <= output_digests(out).keys()
 
     @pytest.mark.parametrize(
-        "error", [ContractError("seed 2 failed"), KeyboardInterrupt()], ids=lambda e: type(e).__name__
+        "target, call, error",
+        [
+            ("optimize", 2, ContractError("seed 2 failed")),
+            ("optimize", 2, KeyboardInterrupt()),
+            ("emit_summary", 1, OSError(28, "No space left on device")),
+            ("emit_summary", 1, KeyboardInterrupt()),
+        ],
+        ids=["ContractError", "KeyboardInterrupt", "summary-OSError", "summary-KeyboardInterrupt"],
     )
     @pytest.mark.parametrize("workers, pools", [(1, []), (2, [2])], ids=["serial", "pool"])
     def test_failed_rerun_leaves_the_previous_run(
-        self, workers, pools, error, tmp_path, monkeypatch, inline_pool
+        self, workers, pools, target, call, error, tmp_path, monkeypatch, inline_pool
     ):
         pin_usable_cpus(monkeypatch, 2)
-        run_experiment(parse_config(small_pso_text(seeds="1..3")), str(tmp_path))
+        run_experiment(parse_config(small_pso_text(seeds="1..4")), str(tmp_path))
         before = output_digests(tmp_path)
-        calls = []
+        calls, original = [], getattr(cli, target)
 
-        def failing_second_seed(*args, **kwargs):
+        def failing(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2:
+            if len(calls) == call:
                 raise error
-            return optimize(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "optimize", failing_second_seed)
+        # The second seed's optimize call, or the summary after every seed has finished.
+        monkeypatch.setattr(cli, target, failing)
         rerun = small_pso_text(seeds="1..3").replace("max_iterations=10", "max_iterations=7")
         with pytest.raises(type(error)):
             run_experiment(parse_config(rerun), str(tmp_path), workers=workers)
@@ -851,7 +859,7 @@ ARGUMENTS = {
     "validate": ["cfg.txt"], "run": ["cfg.txt", "--output", "out"], "brute-force": ["cities.txt"]
 }
 PSO, ACO, SQUARE = small_pso_text(), small_aco_text("cities.txt"), UNIT_SQUARE_TEXT
-TRUNCATED, FAR_APART = "4\n0 0.0 0.0\n1 0.0 1.0\n", "3\n0 0.0 0.0\n1 1e200 0.0\n2 0.0 1.0\n"
+TRUNCATED, FAR_APART = "4\n0 0.0 0.0\n1 0.0 1.0\n", "3\n0 1e308 0.0\n1 -1e308 0.0\n2 0.0 1.0\n"
 UNDECODABLE = b"\xff" + SQUARE.encode()
 NO_FILE = "error: [Errno 2] No such file or directory: "
 ENVELOPE = "error: c1, c2, vmax and max_iterations let a velocity sum overflow on a box bounded by"
@@ -904,6 +912,9 @@ REFUSALS = [
      ENVELOPE + " 5.12: c1=2.0, c2=2.0, vmax=5.12, max_iterations=~10**400"),
     ("test_huge_coordinates_report_one_line", ACO, FAR_APART, ALL,
      "error: distances must be finite"),
+    ("test_huge_coordinates_report_one_line-tour", ACO, "3\n0 0.0 0.0\n1 1e308 0.0\n2 0.0 1.0\n",
+     ALL, "error: distances too large for a finite tour length: n * max distance must be at most "
+     "8.988465674311579e+307, got 3 * 1e+308"),
     ("test_validate_missing_file", None, None, BOTH, NO_FILE + "'cfg.txt'"),
     ("test_run_rejects_bad_workers", small_pso_text(seeds="1"), None, ["run --workers 0"],
      "error: workers must be >= 1, got 0"),
@@ -1256,3 +1267,10 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "tour: 0 1 2 3"
         assert out[1] == "length: 4.0"
+
+    def test_brute_force_loads_points_closer_than_squares_can_tell(self, tmp_path, capsys):
+        # Unscaled, 1e-200 squared to 0 and the two points were refused as one.
+        instance = tmp_path / "tiny.txt"
+        instance.write_text("3\n0 0 0\n1 1e-200 0\n2 0 1\n")
+        assert main(["brute-force", str(instance)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["tour: 0 1 2", "length: 2.0"]

@@ -142,6 +142,18 @@ class TestBenchmark:
         benchmark("sphere", 1)  # fine for the others
 
 
+# Coordinates whose nonzero differences all have normal squares, and any finite
+# coordinates whose three-point tours stay below half the float maximum.
+NORMAL_COORDINATES = st.floats(-1e100, 1e100).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+WIDE_COORDINATES = st.floats(-1e307, 1e307)
+
+
+def unscaled_distances(coords: np.ndarray) -> np.ndarray:
+    """The plain formula, exact only while no square leaves the normal range."""
+    delta = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((delta**2).sum(axis=-1))
+
+
 class TestTspInstanceConstruction:
     def test_unit_square_distances(self, unit_square):
         d = unit_square.graph.distance
@@ -153,6 +165,29 @@ class TestTspInstanceConstruction:
     def test_coordinates_shape_checked(self):
         with pytest.raises(ConfigError):
             TspInstance.from_coordinates("bad", np.zeros((4, 3)))
+
+    @given(st.lists(st.tuples(NORMAL_COORDINATES, NORMAL_COORDINATES), min_size=3, unique=True))
+    def test_scaling_keeps_the_bits_of_the_plain_formula(self, points):
+        coords = np.array(points)
+        distance = TspInstance.from_coordinates("normal", coords).graph.distance
+        assert_same_bits(distance, unscaled_distances(coords))
+
+    @given(
+        st.lists(st.tuples(WIDE_COORDINATES, WIDE_COORDINATES), min_size=3, max_size=3, unique=True)
+    )
+    def test_distances_are_within_one_ulp_of_hypot(self, points):
+        distance = TspInstance.from_coordinates("wide", points).graph.distance
+        for i, (xi, yi) in enumerate(points):
+            for j, (xj, yj) in enumerate(points):
+                exact = math.hypot(xi - xj, yi - yj)
+                assert abs(distance[i, j] - exact) <= math.ulp(exact)
+
+    @pytest.mark.parametrize("gap", [5e-324, 1e-200, 3e-162, 1.4e154])
+    def test_gaps_whose_squares_leave_the_float_range_load_exactly(self, gap):
+        # Unscaled, the first two read as 0, the third as 3.1434555694052576e-162, the last as inf.
+        instance = TspInstance.from_coordinates("gap", [(0.0, 0.0), (gap, 0.0), (0.0, 2 * gap)])
+        assert instance.graph.distance[0, 1] == gap
+        assert instance.graph.distance[0, 2] == 2 * gap
 
 
 class TestLoadTspInstance:

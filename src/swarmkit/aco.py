@@ -89,7 +89,10 @@ class PheromoneMatrix:
     tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", _table(self.tau, "pheromone", "pheromone levels"))
+        tau = _table(self.tau, "pheromone", "pheromone levels")
+        if (tau < 0).any():
+            raise ConfigError("pheromone levels must be non-negative")
+        object.__setattr__(self, "tau", tau)
 
     @property
     def n(self) -> int:
@@ -187,14 +190,8 @@ def transition_probabilities(
     """
     n = graph.n
     current = _node(current, "current", n)
-    blocked = np.array([*visited, current])
-    if blocked.dtype.kind not in "iu":
-        raise ContractError(f"visited nodes must be integers, got {blocked[:-1].tolist()}")
-    outside = blocked[(blocked < 0) | (blocked >= n)]
-    if outside.size:
-        raise ContractError(f"visited node {outside.min()} out of range [0, {n})")
     free = np.ones(n, dtype=bool)
-    free[blocked] = False
+    free[[*(_node(v, "visited", n) for v in visited), current]] = False
     if not free.any():
         raise ContractError("no unvisited nodes to move to")
     row = transition_weights(graph, pheromones, config)[current]

@@ -29,12 +29,12 @@ import numpy as np
 
 from .aco import AcoConfig, optimize_aco
 from .core import (
-    _U64_MAX,
     RNG_ALGORITHM,
     ConfigError,
     ContractError,
     TerminationCriteria,
     TraceEntry,
+    _u64,
 )
 from .problems import TspInstance, benchmark, brute_force_tsp, load_tsp_instance
 from .pso import Global, PsoConfig, Ring, _check_envelope, optimize
@@ -101,13 +101,7 @@ def _coerce(key: str, value: str, declared) -> Union[int, float]:
 
 
 def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise ConfigError(f"invalid seed {text!r}") from None
-    if not 0 <= seed <= _U64_MAX:
-        raise ConfigError(f"seed {seed} out of 64-bit unsigned range")
-    return seed
+    return _u64(_coerce("seeds", text, int), "seed")
 
 
 def _parse_seeds(value: str) -> tuple[int, ...]:

@@ -19,8 +19,6 @@ import numpy as np
 # previously published seeds.
 RNG_ALGORITHM = "philox4x64"
 
-_U64_MAX = 2**64 - 1
-
 
 class ConfigError(ValueError):
     """A configuration value violates its documented constraints."""
@@ -28,6 +26,14 @@ class ConfigError(ValueError):
 
 class ContractError(ValueError):
     """An operation was called outside its documented preconditions."""
+
+
+def _u64(value, name: str) -> int:
+    """``value`` as an int; a ConfigError naming ``name`` unless it is in [0, 2**64)."""
+    value = operator.index(value)  # np.int64 << 64 wraps
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 class RngStream:
@@ -40,12 +46,8 @@ class RngStream:
     __slots__ = ("_gen",)
 
     def __init__(self, seed: int, stream_id: int):
-        seed, stream_id = operator.index(seed), operator.index(stream_id)  # np.int64 << 64 wraps
-        if not 0 <= seed <= _U64_MAX:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        if not 0 <= stream_id <= _U64_MAX:
-            raise ConfigError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-        self._gen = np.random.Generator(np.random.Philox(key=(seed << 64) | stream_id))
+        key = (_u64(seed, "seed") << 64) | _u64(stream_id, "stream_id")
+        self._gen = np.random.Generator(np.random.Philox(key=key))
 
     def next_uniform(self) -> float:
         """Draw one uniform value in [0, 1) and advance the stream."""

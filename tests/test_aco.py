@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import engine_reference
@@ -111,8 +111,9 @@ class TestPheromoneMatrix:
             (np.zeros((2, 3)), "pheromone matrix must be square, got shape (2, 3)"),
             ([[0.0, 1.0], [2.0, 0.0]], "pheromone matrix must be symmetric"),
             ([[0.0, np.nan], [np.nan, 0.0]], "pheromone levels must be finite"),
+            ([[0.0, -0.5], [-0.5, 0.0]], "pheromone levels must be non-negative"),
         ],
-        ids=[f"matrix{i}" for i in range(3)],
+        ids=[f"matrix{i}" for i in range(4)],
     )
     def test_rejects_invalid_matrices(self, matrix, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -172,6 +173,34 @@ class TestTransitionProbabilities:
         with pytest.raises(ContractError, match="transition weights from node 0 sum to inf"):
             transition_probabilities(square_graph, pheromones, 0, set(), config)
 
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # a read-only graph
+    @given(
+        st.lists(
+            st.sampled_from([-0.5, -5e-324, -0.0, 0.0, 5e-324, 1.0]) | st.floats(-2.0, 2.0),
+            min_size=6,
+            max_size=6,
+        ),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+        st.integers(0, 3),
+    )
+    # tau[0, 1] = -0.5 on the unit square: the weights from node 0 are [-0.5, 0.5, 1.0].
+    @example(levels=[-0.5, 1.0, 1.0, 1.0, 1.0, 1.0], alpha=1.0, current=0)
+    def test_accepted_pheromones_give_a_distribution(self, square_graph, levels, alpha, current):
+        tau = np.zeros((4, 4))
+        tau[np.triu_indices(4, 1)] = levels
+        try:
+            pheromones = PheromoneMatrix(tau + tau.T)
+        except ConfigError:
+            return
+        try:
+            probs = transition_probabilities(
+                square_graph, pheromones, current, [], aco_config(alpha=alpha)
+            )
+        except ContractError:
+            return
+        assert (probs >= 0.0).all()
+        assert abs(probs.sum() - 1.0) <= 1e-12
+
     def test_uniform_tau_and_distance_gives_uniform_probabilities(self):
         d = np.ones((4, 4)) - np.eye(4)
         graph = DistanceGraph(d)
@@ -210,14 +239,31 @@ class TestTransitionProbabilities:
     def test_visited_out_of_range_rejected(self, square_graph):
         # Silently ignored before: three equal probabilities came back.
         pheromones = initialize_pheromones(square_graph, aco_config())
-        with pytest.raises(ContractError, match=r"visited node -1 out of range \[0, 4\)"):
+        with pytest.raises(ContractError, match=r"visited node 7 out of range \[0, 4\)"):
             transition_probabilities(square_graph, pheromones, 0, [7, -1], aco_config())
 
     def test_non_integer_visited_rejected(self, square_graph):
         # A float is neither truncated to a node index nor ignored.
         pheromones = initialize_pheromones(square_graph, aco_config())
-        with pytest.raises(ContractError, match="visited nodes must be integers"):
+        with pytest.raises(ContractError, match="visited node must be an integer, got 1.0"):
             transition_probabilities(square_graph, pheromones, 0, [1.0], aco_config())
+
+    @pytest.mark.parametrize(
+        "visited, line",
+        [
+            ([2**70], f"visited node {2**70} out of range [0, 4)"),
+            ([np.uint64(2**63)], f"visited node {2**63} out of range [0, 4)"),
+            ([1.0], "visited node must be an integer, got 1.0"),
+            ([-1], "visited node -1 out of range [0, 4)"),
+        ],
+        ids=["2**70", "uint64-2**63", "float", "negative"],
+    )
+    def test_visited_nodes_pass_the_node_rule(self, square_graph, visited, line):
+        # An out-of-range integer is named as out of range, not as a non-integer.
+        pheromones = initialize_pheromones(square_graph, aco_config())
+        with pytest.raises(ContractError) as raised:
+            transition_probabilities(square_graph, pheromones, 0, visited, aco_config())
+        assert str(raised.value) == line
 
     def test_zero_exponents_give_uniform_probabilities(self):
         rng = random.Random(5)
@@ -451,8 +497,8 @@ class TestConstructTour:
         tour = construct_tour(square_graph, weights, config, derive_stream(0, 1), start=np.int64(2))
         assert tour == construct_tour(square_graph, weights, config, derive_stream(0, 1), start=2)
         probs = [
-            transition_probabilities(square_graph, pheromones, current, [0], config).tolist()
-            for current in (np.int64(2), 2)
+            transition_probabilities(square_graph, pheromones, current, visited, config).tolist()
+            for current, visited in ((np.int64(2), [np.int64(0)]), (2, [0]))
         ]
         assert probs[0] == probs[1]
 

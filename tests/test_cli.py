@@ -179,11 +179,11 @@ class TestParseConfig:
             parse_config(small_pso_text(seeds="9..1"))
         with pytest.raises(ConfigError, match="duplicate seeds"):
             parse_config(small_pso_text(seeds="1,1"))
-        with pytest.raises(ConfigError, match="invalid seed"):
+        with pytest.raises(ConfigError, match="invalid integer for seeds: 'a'"):
             parse_config(small_pso_text(seeds="a"))
-        with pytest.raises(ConfigError, match="out of 64-bit"):
+        with pytest.raises(ConfigError, match="seed must be a 64-bit unsigned integer, got -1"):
             parse_config(small_pso_text(seeds="-1"))
-        with pytest.raises(ConfigError, match="out of 64-bit"):
+        with pytest.raises(ConfigError, match=f"unsigned integer, got {2**64}"):
             parse_config(small_pso_text(seeds=str(2**64)))
         # The whole 64-bit range is valid seed by seed but too long for a tuple.
         with pytest.raises(ConfigError, match=re.escape(f"seed range '0..{2**64 - 1}'")):
@@ -915,6 +915,14 @@ REFUSALS = [
     ("test_huge_coordinates_report_one_line-tour", ACO, "3\n0 0.0 0.0\n1 1e308 0.0\n2 0.0 1.0\n",
      ALL, "error: distances too large for a finite tour length: n * max distance must be at most "
      "8.988465674311579e+307, got 3 * 1e+308"),
+    *[
+        (f"test_seed_reports_one_line-{seeds}", small_pso_text(seeds=seeds), None, BOTH, line)
+        for seeds, line in [
+            (str(2**64), f"error: seed must be a 64-bit unsigned integer, got {2**64}"),
+            ("-1", "error: seed must be a 64-bit unsigned integer, got -1"),
+            ("a", "error: invalid integer for seeds: 'a'"),
+        ]
+    ],
     ("test_validate_missing_file", None, None, BOTH, NO_FILE + "'cfg.txt'"),
     ("test_run_rejects_bad_workers", small_pso_text(seeds="1"), None, ["run --workers 0"],
      "error: workers must be >= 1, got 0"),
@@ -1097,6 +1105,15 @@ class TestMain:
         path.write_text(small_pso_text())
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def test_usage_error_is_argparse_exit_2(self, capsys):
+        # Usage errors are argparse's: a usage line, then its error, status 2.
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "cfg.txt", "--workers", "x"])
+        assert exited.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: swarmkit run ")
+        assert error == "swarmkit run: error: argument --workers: invalid int value: 'x'"
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize(

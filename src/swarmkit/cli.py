@@ -382,7 +382,12 @@ def main(argv=None) -> int:
     import argparse
     from concurrent.futures import BrokenExecutor
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # One `error:` line for usage errors too; subparsers inherit the class.
+        def error(self, message):
+            self.exit(2, f"error: {message}\n")
+
+    parser = Parser(
         prog="swarmkit",
         description="Deterministic swarm optimizers with a multi-seed experiment harness.",
     )

@@ -547,9 +547,8 @@ class TestReadme:
     def test_library_quick_start_runs(self):
         section = README.read_text().split("## Library quick start", 1)[1]
         code = section.split("```python\n", 1)[1].split("```", 1)[0]
-        env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
         result = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
 
@@ -613,9 +612,10 @@ class TestRunExperiment:
         run_experiment(config, output_dir=str(tmp_path / "b"))
         assert output_digests(tmp_path / "a") == output_digests(tmp_path / "b")
 
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+    @staticmethod
+    def assert_one_and_four_workers_agree(text, tmp_path, monkeypatch):
         pin_usable_cpus(monkeypatch, 4)  # a real 4-process pool, however many CPUs the host has
-        config = parse_config(small_pso_text(seeds="1..4"))
+        config = parse_config(text)
         serial = run_experiment(config, output_dir=str(tmp_path / "serial"), workers=1)
         parallel = run_experiment(config, output_dir=str(tmp_path / "parallel"), workers=4)
         assert output_digests(tmp_path / "serial") == output_digests(tmp_path / "parallel")
@@ -624,6 +624,15 @@ class TestRunExperiment:
         ]
         assert strip(serial) == strip(parallel)
         assert serial.aggregate == parallel.aggregate
+
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
+        self.assert_one_and_four_workers_agree(small_pso_text(seeds="1..4"), tmp_path, monkeypatch)
+
+    def test_worker_count_does_not_change_aco_results(self, tmp_path, monkeypatch):
+        # Each worker unpickles the DistanceGraph problem and the AcoConfig engine.
+        (tmp_path / "square.txt").write_text(UNIT_SQUARE_TEXT)
+        text = small_aco_text(str(tmp_path / "square.txt")).replace("1,2", "1..4")
+        self.assert_one_and_four_workers_agree(text, tmp_path, monkeypatch)
 
     @pytest.mark.parametrize(
         "workers, seeds, started", [(8, "1..2", 2), (2, "1..3", 2), (100000, "1..6", 3)]
@@ -703,7 +712,6 @@ print(*[m for m in heavy if m in sys.modules])
         cfg.write_text(small_pso_text())
         result = subprocess.run(
             [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=str(README.parent / "src")),
             capture_output=True,
             text=True,
             timeout=120,
@@ -829,7 +837,7 @@ class TestDispatchLevels:
         env = {
             **os.environ,
             "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
-            "PYTHONPATH": os.pathsep.join([str(tests), str(tests.parent / "src")]),
+            "PYTHONPATH": os.pathsep.join([str(tests), os.environ["PYTHONPATH"]]),
         }
         configs = json.dumps([[algorithm, extra] for algorithm, extra, _ in pinned])
         result = subprocess.run(
@@ -1107,13 +1115,19 @@ class TestMain:
         assert capsys.readouterr().out.strip() == "ok"
 
     def test_usage_error_is_argparse_exit_2(self, capsys):
-        # Usage errors are argparse's: a usage line, then its error, status 2.
+        # Usage errors print argparse's message as one error line, with status 2.
         with pytest.raises(SystemExit) as exited:
             main(["run", "cfg.txt", "--workers", "x"])
         assert exited.value.code == 2
-        usage, error = capsys.readouterr().err.splitlines()
-        assert usage.startswith("usage: swarmkit run ")
-        assert error == "swarmkit run: error: argument --workers: invalid int value: 'x'"
+        assert capsys.readouterr().err == "error: argument --workers: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("argv", [[], ["frob"], ["run"]], ids=["none", "frob", "run"])
+    def test_missing_or_unknown_command_is_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would print a second line
     @pytest.mark.parametrize(
@@ -1223,7 +1237,7 @@ class TestMain:
     def test_config_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("# café\n" + small_pso_text(), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(README.parent / "src"), PYTHONUTF8="0", LC_ALL="C")
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C")
         result = subprocess.run(
             [sys.executable, "-m", "swarmkit", "validate", str(cfg)],
             env=env,

@@ -29,6 +29,7 @@ from .core import (
     RunTrace,
     TerminationCriteria,
     TraceEntry,
+    _count,
     _readonly_copy,
     derive_stream,
     record_iteration,
@@ -118,8 +119,8 @@ class AcoConfig:
 
     def __post_init__(self):
         require_finite(self, "alpha", "beta", "q", "tau0", "tau_floor")
-        if self.num_ants is not None and self.num_ants < 1:
-            raise ConfigError(f"num_ants must be >= 1, got {self.num_ants}")
+        if self.num_ants is not None:
+            object.__setattr__(self, "num_ants", _count(self.num_ants, "num_ants"))
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 0:

@@ -34,6 +34,7 @@ from .core import (
     ContractError,
     TerminationCriteria,
     TraceEntry,
+    _count,
     _u64,
 )
 from .problems import TspInstance, benchmark, brute_force_tsp, load_tsp_instance
@@ -282,8 +283,7 @@ def run_experiment(
     staged as ``.tmp`` files, which one rename loop publishes, summary last, once all are written;
     a seed or a summary write that raises deletes them and leaves the directory as it was.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = _count(workers, "workers")
     out = Path(output_dir if output_dir is not None else (config.output or DEFAULT_OUTPUT_DIR))
     problem = _problem(config)
     out.mkdir(parents=True, exist_ok=True)

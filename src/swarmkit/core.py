@@ -36,6 +36,17 @@ def _u64(value, name: str) -> int:
     return value
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a ConfigError naming ``name`` unless it is an integer >= 1."""
+    try:
+        count = operator.index(value)  # numpy ints and bools become int; floats are refused
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigError(f"{name} must be >= 1, got {count}")
+    return count
+
+
 class RngStream:
     """One independent random stream, owned by a single agent or run.
 
@@ -102,8 +113,7 @@ class ObjectiveSpec:
     evaluate: Callable[[np.ndarray], float]
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "dimension", _count(self.dimension, "dimension"))
         lower = _readonly_copy(self.lower_bound)
         upper = _readonly_copy(self.upper_bound)
         if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
@@ -132,8 +142,7 @@ class TerminationCriteria:
     target_fitness: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        object.__setattr__(self, "max_iterations", _count(self.max_iterations, "max_iterations"))
         if self.target_fitness is not None:
             require_finite(self, "target_fitness")
 

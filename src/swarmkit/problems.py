@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .aco import DistanceGraph, Tour
-from .core import ConfigError, ObjectiveSpec, RngStream, _readonly_copy
+from .core import ConfigError, ObjectiveSpec, RngStream, _count, _readonly_copy
 
 # Exhaustive enumeration above this is a factorial blowup, not a test oracle.
 BRUTE_FORCE_MAX_NODES = 11
@@ -163,8 +163,7 @@ def serialize_tsp_instance(instance: TspInstance) -> str:
 
 def random_tsp_instance(n: int, stream: RngStream) -> TspInstance:
     """n points drawn uniformly from the unit square, deterministic per stream."""
-    if n < 3:
-        raise ConfigError(f"instance needs at least 3 nodes, got {n}")
+    n = _count(n, "n")  # DistanceGraph refuses fewer than 3 nodes
     coords = stream.next_uniforms(2 * n).reshape(n, 2)
     return TspInstance.from_coordinates(f"random{n}", coords)
 

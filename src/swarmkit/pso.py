@@ -38,6 +38,7 @@ from .core import (
     RunTrace,
     TerminationCriteria,
     TraceEntry,
+    _count,
     _readonly_copy,
     derive_stream,
     fitness_key,
@@ -59,8 +60,7 @@ class Ring:
     k: int = 1
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"ring_k must be in [1, swarm_size), got {self.k}")
+        object.__setattr__(self, "k", _count(self.k, "ring_k"))
 
 
 Topology = Union[Global, Ring]
@@ -103,8 +103,7 @@ class PsoConfig:
     topology: Topology = Global()
 
     def __post_init__(self):
-        if self.swarm_size < 1:
-            raise ConfigError(f"swarm_size must be >= 1, got {self.swarm_size}")
+        object.__setattr__(self, "swarm_size", _count(self.swarm_size, "swarm_size"))
         require_finite(self, "c1", "c2")
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError(f"c1 and c2 must be >= 0, got c1={self.c1}, c2={self.c2}")

@@ -143,6 +143,7 @@ class TestAcoConfig:
             dict(q=-1.0),
             dict(tau_floor=0.0),
             dict(tau0=1e-13),
+            dict(num_ants=2.5),
         ],
     )
     def test_rejects_invalid_configs(self, kwargs):

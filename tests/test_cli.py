@@ -10,7 +10,7 @@ import struct
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,7 +227,7 @@ class TestParseConfig:
             parse_config(small_pso_text(extra="topology=star\n"))
         with pytest.raises(ConfigError, match=r"ring_k must be in \[1, swarm_size\)"):
             parse_config(small_pso_text(extra="topology=ring\nring_k=5\n"))
-        with pytest.raises(ConfigError, match=r"ring_k must be in \[1, swarm_size\)"):
+        with pytest.raises(ConfigError, match=r"ring_k must be >= 1, got 0"):
             parse_config(small_pso_text(extra="ring_k=0\n"))
 
     def test_target_fitness_and_output_are_optional(self):
@@ -778,6 +778,29 @@ print(*[m for m in heavy if m in sys.modules])
         run_experiment(config, output_dir=str(tmp_path / "explicit"))
         assert (tmp_path / "explicit" / "trace_seed1.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            (
+                small_pso_text(),
+                dict(swarm_size=np.int64(3), termination=TerminationCriteria(np.int64(2))),
+            ),
+            (
+                small_aco_text("square.txt"),
+                dict(num_ants=np.int64(4), termination=TerminationCriteria(True)),
+            ),
+        ],
+        ids=["pso", "aco"],
+    )
+    def test_numpy_and_bool_counts_reach_the_summary(self, text, counts, tmp_path, monkeypatch):
+        # A count is kept as a Python int, so the summary serializes and its echo parses back.
+        monkeypatch.chdir(tmp_path)
+        Path("square.txt").write_text(UNIT_SQUARE_TEXT)
+        config = parse_config(text)
+        run_experiment(replace(config, engine=replace(config.engine, **counts)), output_dir="out")
+        echo = json.loads(Path("out/summary.json").read_text())["config"]
+        assert cli._config_echo(parse_config(echo_text(echo))) == echo
 
     def test_invalid_worker_count_rejected(self, tmp_path):
         config = parse_config(small_pso_text(seeds="1"))

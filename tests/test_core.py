@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import numbers
+import re
+import typing
 
 import numpy as np
 import pytest
@@ -29,8 +32,10 @@ from swarmkit import (
     initialize_pheromones,
     initialize_swarm,
     optimize,
+    parse_config,
     random_tsp_instance,
     record_iteration,
+    run_experiment,
     should_terminate,
     step,
     transition_weights,
@@ -243,6 +248,88 @@ class TestTerminationCriteria:
     def test_minimal_criteria(self):
         criteria = TerminationCriteria(max_iterations=1)
         assert criteria.target_fitness is None
+
+
+def objective_dimension(value):
+    # Bounds as long as the count, so that only the count rule can refuse it.
+    size = int(value) if isinstance(value, numbers.Integral) and value >= 1 else 1
+    return ObjectiveSpec(value, -np.ones(size), np.ones(size), evaluate=sum).dimension
+
+
+# Each count a constructor keeps, read back from what it built.
+KEPT_COUNTS = {
+    "dimension": objective_dimension,
+    "max_iterations": lambda value: TerminationCriteria(value).max_iterations,
+    "ring_k": lambda value: Ring(value).k,
+    "swarm_size": lambda value: PsoConfig(value, TerminationCriteria(1)).swarm_size,
+    "num_ants": lambda value: AcoConfig(TerminationCriteria(1), num_ants=value).num_ants,
+}
+TINY_PSO = parse_config(
+    "algorithm=pso\nproblem=sphere\ndim=2\nswarm_size=2\nmax_iterations=1\nseeds=1\n"
+)
+# Every site of the count rule: the kept counts and the two used at once.
+COUNT_SITES = {
+    **KEPT_COUNTS,
+    "n": lambda value: random_tsp_instance(value, derive_stream(0, 0)),
+    "workers": lambda value: run_experiment(TINY_PSO, output_dir="out", workers=value),
+}
+# Refused as counts: (id, value, the words after "<name> must be ").
+NOT_COUNTS = [
+    ("0", 0, ">= 1, got 0"),
+    ("-1", -1, ">= 1, got -1"),
+    ("2.5", 2.5, "an integer, got "),
+    ("str", "3", "an integer, got "),
+    ("None", None, "an integer, got "),
+    # Its repr is np.float64(2.0) under numpy 2 and 2.0 under numpy 1.
+    ("float64", np.float64(2), "an integer, got "),
+]
+# Every dataclass field whose type admits an int, with a valid instance to vary it in.
+INT_FIELDS = [
+    (instance, name)
+    for instance in (
+        ObjectiveSpec(2, -np.ones(2), np.ones(2), evaluate=sum),
+        TerminationCriteria(3),
+        PsoConfig(3, TerminationCriteria(3)),
+        Ring(1),
+        AcoConfig(TerminationCriteria(3), num_ants=3),
+    )
+    for name, hint in typing.get_type_hints(type(instance)).items()
+    if int in (hint, *typing.get_args(hint))
+]
+
+
+class TestCountRule:
+    """Every count the library takes is an integer >= 1, kept as a Python int."""
+
+    @pytest.mark.parametrize(
+        "name, value, words",
+        [
+            pytest.param(name, value, words, id=f"{name}-{label}")
+            for name in COUNT_SITES
+            for label, value, words in NOT_COUNTS
+            if (name, value) != ("num_ants", None)  # None means one ant per node
+        ],
+    )
+    def test_refuses_what_is_not_a_count(self, name, value, words, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{name} must be {words}")):
+            COUNT_SITES[name](value)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "value", [np.int64(3), np.uint8(3), True], ids=["int64", "uint8", "True"]
+    )
+    @pytest.mark.parametrize("name", KEPT_COUNTS)
+    def test_keeps_integer_counts_as_int(self, name, value):
+        kept = KEPT_COUNTS[name](value)
+        assert type(kept) is int and kept == value
+
+    @pytest.mark.parametrize(
+        "instance, name", INT_FIELDS, ids=[f"{type(i).__name__}.{n}" for i, n in INT_FIELDS]
+    )
+    def test_no_integer_field_skips_the_rule(self, instance, name):
+        with pytest.raises(ConfigError, match="must be an integer, got 2.5"):
+            dataclasses.replace(instance, **{name: 2.5})
 
 
 # Ties under fitness_key (0.0 and -0.0; NaN and the infinities) are where the floor's choice shows.

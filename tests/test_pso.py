@@ -87,6 +87,7 @@ class TestPsoConfig:
             dict(swarm_size=5, topology=Ring(k=5)),
             dict(swarm_size=5, topology=Ring(k=7)),
             dict(swarm_size=5, topology="ring"),
+            dict(swarm_size=2.5),
         ],
     )
     def test_rejects_invalid_configs(self, kwargs):
